@@ -1,5 +1,8 @@
 #include "hw/pe_models.h"
 
+#include <array>
+#include <cstddef>
+
 #include "common/check.h"
 
 namespace anda {
@@ -138,10 +141,9 @@ anda_unit()
     return g;
 }
 
-}  // namespace
-
+/// Builds the gate inventory of one PE type (pe_gate_budget caches it).
 GateBudget
-pe_gate_budget(PeType type)
+build_pe_gate_budget(PeType type)
 {
     switch (type) {
     case PeType::kFpFp:
@@ -163,7 +165,7 @@ pe_gate_budget(PeType type)
 }
 
 GateBudget
-bpc_lane_budget()
+build_bpc_lane_budget()
 {
     GateBudget g;
     g += max_tree(64, 5);                     // Max exponent catcher.
@@ -172,6 +174,34 @@ bpc_lane_budget()
     g += registers(64 * 2 + 80);              // Packager staging.
     g += control(12);
     return g;
+}
+
+/// PeType values are dense from zero; kAnda is the last one.
+constexpr std::size_t kNumPeTypes =
+    static_cast<std::size_t>(PeType::kAnda) + 1;
+
+}  // namespace
+
+GateBudget
+pe_gate_budget(PeType type)
+{
+    static const std::array<GateBudget, kNumPeTypes> budgets = [] {
+        std::array<GateBudget, kNumPeTypes> table{};
+        for (std::size_t i = 0; i < kNumPeTypes; ++i) {
+            table[i] = build_pe_gate_budget(static_cast<PeType>(i));
+        }
+        return table;
+    }();
+    const auto index = static_cast<std::size_t>(type);
+    ANDA_CHECK_LT(index, kNumPeTypes, "unknown PE type");
+    return budgets[index];
+}
+
+GateBudget
+bpc_lane_budget()
+{
+    static const GateBudget budget = build_bpc_lane_budget();
+    return budget;
 }
 
 GateBudget

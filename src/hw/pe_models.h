@@ -34,10 +34,13 @@ struct PeMetrics {
     double power_mw = 0.0;
 };
 
-/// Gate inventory of one 64-MAC/cycle unit of the given type.
+/// Gate inventory of one 64-MAC/cycle unit of the given type. The
+/// inventories are constants: each is computed once per process and
+/// returned from a table, so pricing never rebuilds the gate model.
 GateBudget pe_gate_budget(PeType type);
 
-/// Gate inventory of one BPC lane (64 values, serial emission).
+/// Gate inventory of one BPC lane (64 values, serial emission);
+/// computed once, like pe_gate_budget.
 GateBudget bpc_lane_budget();
 
 /// Gate inventory of one FP16 vector-unit lane (non-linear functions).

@@ -1,6 +1,7 @@
 #include "hw/perf_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "format/compressor.h"
@@ -18,6 +19,10 @@ ceil_div(std::uint64_t a, std::uint64_t b)
 /// Weight storage bits per weight: INT4 plus an FP16 scale per group
 /// of 128.
 constexpr double kWeightBitsPerElem = 4.0 + 16.0 / 128.0;
+
+/// Distinct GeMM taps run_workload prices once and reuses (a
+/// transformer step has four: qkv, o, up and down).
+constexpr std::size_t kDistinctTaps = 8;
 
 /// Throughput-normalization unit count: all systems have the same
 /// bit-level compute budget, so an x-bit bit-parallel datapath fits
@@ -190,10 +195,38 @@ SystemRun
 run_workload(const AcceleratorConfig &config, const TechParams &tech,
              const std::vector<GemmOp> &ops)
 {
-    SystemRun run;
-    for (const auto &op : ops) {
+    // A step repeats a handful of tap shapes once per layer, so each
+    // distinct (shape, act_mantissa) is priced once and reused. The
+    // sums still accumulate in op order: the result is bit-identical
+    // to pricing every op. Ops past the table's capacity are priced
+    // directly.
+    struct PricedTap {
+        GemmShape shape;
+        int act_mantissa = 0;
+        GemmCost cost;
+    };
+    std::array<PricedTap, kDistinctTaps> taps;
+    std::size_t n_taps = 0;
+    const auto price = [&](const GemmOp &op) {
+        for (std::size_t i = 0; i < n_taps; ++i) {
+            const PricedTap &t = taps[i];
+            if (t.act_mantissa == op.act_mantissa &&
+                t.shape.tokens == op.shape.tokens &&
+                t.shape.k == op.shape.k && t.shape.n == op.shape.n) {
+                return t.cost;
+            }
+        }
         const GemmCost c =
             analyze_gemm(config, tech, op.shape, op.act_mantissa);
+        if (n_taps < taps.size()) {
+            taps[n_taps++] = {op.shape, op.act_mantissa, c};
+        }
+        return c;
+    };
+
+    SystemRun run;
+    for (const auto &op : ops) {
+        const GemmCost c = price(op);
         run.cycles += c.total_cycles;
         run.compute_energy_pj += c.compute_energy_pj;
         run.bpc_energy_pj += c.bpc_energy_pj;

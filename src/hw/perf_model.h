@@ -175,6 +175,9 @@ struct Workload {
 };
 
 /// Runs a whole workload (sums costs; GeMMs execute back-to-back).
+/// Each distinct (shape, act_mantissa) is analyzed once and its cost
+/// reused; the sums run in op order, bit-identical to summing
+/// analyze_gemm over every op.
 SystemRun run_workload(const AcceleratorConfig &config,
                        const TechParams &tech,
                        const std::vector<GemmOp> &ops);

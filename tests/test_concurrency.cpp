@@ -81,6 +81,9 @@ TEST(Concurrency, NestedParallelForRunsInline)
     constexpr std::size_t kOuter = 64;
     constexpr std::size_t kInner = 64;
     std::vector<std::atomic<int>> counts(kOuter);
+    // The pool is built lazily by the first parallel_for; warm it so
+    // the baseline counts its workers and only *new* threads fail.
+    parallel_for(0, kOuter, [](std::size_t) {});
     const std::size_t created_before = parallel_threads_created();
     parallel_for(0, kOuter, [&](std::size_t o) {
         EXPECT_TRUE(parallel_nested());

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "format/compressor.h"
+#include "format/kv_format.h"
 #include "hw/cycle_sim.h"
 #include "hw/perf_model.h"
 #include "hw/workload.h"
@@ -117,26 +118,93 @@ TEST(Integration, CachedSearchIsReproducible)
     }
 }
 
+/// Reference aggregate: every op priced on its own, each field summed
+/// in op order (GeMMs first, then attention passes).
+SystemRun
+per_op_sum(const AcceleratorConfig &cfg, const TechParams &tech,
+           const Workload &w)
+{
+    SystemRun run;
+    const auto add = [&run](const GemmCost &c) {
+        run.cycles += c.total_cycles;
+        run.compute_energy_pj += c.compute_energy_pj;
+        run.bpc_energy_pj += c.bpc_energy_pj;
+        run.act_sram_energy_pj += c.act_sram_energy_pj;
+        run.wgt_sram_energy_pj += c.wgt_sram_energy_pj;
+        run.dram_energy_pj += c.dram_energy_pj;
+    };
+    for (const auto &op : w.gemms) {
+        add(analyze_gemm(cfg, tech, op.shape, op.act_mantissa));
+    }
+    for (const auto &op : w.attns) {
+        const GemmCost c = analyze_attn(cfg, tech, op);
+        add(c);
+        run.attn_cycles += c.total_cycles;
+        run.kv_dram_bits += c.kv_dram_bits;
+    }
+    return run;
+}
+
+void
+expect_same_run(const SystemRun &got, const SystemRun &want,
+                const std::string &what)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.attn_cycles, want.attn_cycles) << what;
+    EXPECT_EQ(got.kv_dram_bits, want.kv_dram_bits) << what;
+    EXPECT_EQ(got.compute_energy_pj, want.compute_energy_pj) << what;
+    EXPECT_EQ(got.bpc_energy_pj, want.bpc_energy_pj) << what;
+    EXPECT_EQ(got.act_sram_energy_pj, want.act_sram_energy_pj) << what;
+    EXPECT_EQ(got.wgt_sram_energy_pj, want.wgt_sram_energy_pj) << what;
+    EXPECT_EQ(got.dram_energy_pj, want.dram_energy_pj) << what;
+}
+
 TEST(Integration, WorkloadEnergyMatchesPerGemmSum)
 {
-    // run_workload must equal the sum of analyze_gemm over the ops,
-    // for every system (no hidden cross-GeMM state).
+    // run_workload must equal, bit for bit, the in-order sum of
+    // pricing every op on its own, for every system (no hidden
+    // cross-op state): on a prefill, on a ragged step mixing
+    // prefill and decode slices of two tuples with attention, and on
+    // an op list with more distinct shapes than run_workload reuses.
     const TechParams &tech = tech16();
-    const auto ops = build_prefill_workload(find_model("llama-7b"), 256,
-                                            {8, 7, 7, 6});
-    for (const auto &cfg : system_configs()) {
-        const SystemRun run = run_workload(cfg, tech, ops);
-        std::uint64_t cycles = 0;
-        double energy = 0.0;
-        for (const auto &op : ops) {
-            const GemmCost c =
-                analyze_gemm(cfg, tech, op.shape, op.act_mantissa);
-            cycles += c.total_cycles;
-            energy += c.total_energy_pj();
+    const ModelConfig &model = find_model("llama-7b");
+    const Workload prefill{
+        build_prefill_workload(model, 256, {8, 7, 7, 6}), {}};
+
+    const std::vector<SeqSlice> chunks = {{37, 0}, {64, 120}, {5, 900}};
+    const std::vector<SeqSlice> decodes = {{1, 17}, {1, 2048}, {1, 300}};
+    const double kv_bits = KvFormat::anda(7).bits_per_element();
+    Workload ragged =
+        build_prefill_workload(model, chunks, {8, 7, 7, 6}, kv_bits);
+    const Workload dec =
+        build_decode_workload(model, decodes, {6, 5, 5, 4}, kv_bits);
+    ragged.gemms.insert(ragged.gemms.end(), dec.gemms.begin(),
+                        dec.gemms.end());
+    ragged.attns.insert(ragged.attns.end(), dec.attns.begin(),
+                        dec.attns.end());
+
+    // 24 distinct taps, each repeated three times: 12 shapes, each at
+    // two mantissas, so a tap matching on shape alone would show.
+    Workload many;
+    for (int rep = 0; rep < 3; ++rep) {
+        for (std::uint64_t i = 0; i < 24; ++i) {
+            const std::uint64_t s = i % 12;
+            many.gemms.push_back({{1 + 7 * s, 4096, 4096 + 1024 * (s % 3)},
+                                  i < 12 ? 4 : 8,
+                                  "tap"});
         }
-        EXPECT_EQ(run.cycles, cycles) << cfg.name;
-        EXPECT_NEAR(run.total_energy_pj(), energy, 1e-6 * energy)
-            << cfg.name;
+    }
+
+    for (const auto &cfg : system_configs()) {
+        expect_same_run(run_workload(cfg, tech, prefill.gemms),
+                        per_op_sum(cfg, tech, prefill),
+                        cfg.name + " prefill");
+        expect_same_run(run_workload(cfg, tech, ragged),
+                        per_op_sum(cfg, tech, ragged),
+                        cfg.name + " ragged");
+        expect_same_run(run_workload(cfg, tech, many),
+                        per_op_sum(cfg, tech, many),
+                        cfg.name + " many shapes");
     }
 }
 

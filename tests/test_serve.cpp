@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -1347,6 +1348,87 @@ TEST_F(ServingExecutionTest, SurvivableFaultsKeepTokensIdentical)
     EXPECT_EQ(twin.preemptions, faulty.preemptions);
     EXPECT_EQ(twin.makespan_s, faulty.makespan_s);
     EXPECT_EQ(twin.total_cycles, faulty.total_cycles);
+}
+
+/// FNV-1a over every field of every step, doubles by their bits.
+std::uint64_t
+step_log_fnv(const ServingReport &report)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t x) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (x >> (8 * byte)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const ServingStep &s : report.steps) {
+        mix(std::bit_cast<std::uint64_t>(s.start_s));
+        mix(s.cycles);
+        mix(s.prefill_tokens);
+        mix(s.decode_tokens);
+        mix(s.running);
+        mix(s.cache_tokens);
+        mix(s.used_pages);
+        mix(s.free_pages);
+        mix(s.preemptions);
+        mix(s.drops);
+        mix(s.sheds);
+        mix(s.fault_retries);
+        mix(s.failed);
+        mix(std::bit_cast<std::uint64_t>(s.swap_stall_s));
+        mix(s.attn_cycles);
+        mix(s.kv_bytes);
+    }
+    return h;
+}
+
+TEST_F(ServingSimTest, GoldenPricedStepLogs)
+{
+    // Pins the priced step logs of a run that exercises every pricing
+    // path at once: paged KV in anda-m7 under a byte budget, attention
+    // pricing, priced swaps and a shared prefix. Refactors and
+    // optimisations of the scheduler or the cost model must leave
+    // both fingerprints unchanged; a deliberate re-baseline updates
+    // the constants and says so.
+    RequestStreamSpec spec = small_spec();
+    spec.n_requests = 32;
+    spec.prompt_min = 40;
+    spec.prompt_max = 160;
+    ServingOptions opts;
+    opts.max_batch = 8;
+    opts.max_step_tokens = 64;
+    opts.cache_policy = CachePolicy::kPaged;
+    opts.page_size = 16;
+    opts.preempt = PreemptPolicy::kSwap;
+    opts.swap_gbps = 16.0;
+    opts.shared_prefix_len = 32;
+    opts.attn_pricing = true;
+    opts.kv_format = KvFormat::anda(7);
+    opts.kv_byte_budget = 60'000'000;
+    struct Golden {
+        const char *system;
+        PrecisionTuple tuple;
+        std::uint64_t steps_fnv;
+        std::uint64_t makespan_bits;
+    };
+    const Golden goldens[] = {
+        {"anda", {8, 7, 7, 6}, 0x9d85ecc0944c60f4ull,
+         0x4055cf4e196ef519ull},
+        {"fp-fp", {16, 16, 16, 16}, 0x2fb2a488b7610bbdull,
+         0x4065b2dc29cfb94aull},
+    };
+    for (const Golden &g : goldens) {
+        opts.tuple = g.tuple;
+        const ServingReport r = run(opts, spec, g.system);
+        ASSERT_GE(r.preemptions, 1u) << g.system;
+        ASSERT_GT(r.swap_bytes, 0u) << g.system;
+        ASSERT_GT(r.reused_prefix_tokens, 0u) << g.system;
+        ASSERT_EQ(r.completed, r.requests.size()) << g.system;
+        EXPECT_EQ(step_log_fnv(r), g.steps_fnv) << g.system;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.makespan_s),
+                  g.makespan_bits)
+            << g.system;
+    }
 }
 
 }  // namespace
