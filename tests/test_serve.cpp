@@ -1351,8 +1351,10 @@ TEST_F(ServingExecutionTest, SurvivableFaultsKeepTokensIdentical)
 }
 
 /// FNV-1a over every field of every step, doubles by their bits.
+/// Without `pages` the page-pool occupancy fields are left out, so
+/// the fingerprint pins the schedule independently of the pool size.
 std::uint64_t
-step_log_fnv(const ServingReport &report)
+step_log_fnv(const ServingReport &report, bool pages = true)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     const auto mix = [&h](std::uint64_t x) {
@@ -1368,8 +1370,10 @@ step_log_fnv(const ServingReport &report)
         mix(s.decode_tokens);
         mix(s.running);
         mix(s.cache_tokens);
-        mix(s.used_pages);
-        mix(s.free_pages);
+        if (pages) {
+            mix(s.used_pages);
+            mix(s.free_pages);
+        }
         mix(s.preemptions);
         mix(s.drops);
         mix(s.sheds);
@@ -1429,6 +1433,38 @@ TEST_F(ServingSimTest, GoldenPricedStepLogs)
                   g.makespan_bits)
             << g.system;
     }
+}
+
+TEST_F(ServingSimTest, GoldenDefaultStepLogs)
+{
+    // Pins the schedules of default-options runs: the priced step log
+    // (every field but the page-pool occupancy) and makespan of a
+    // plain run and of a classed run under deadline drops, shedding
+    // and step faults, plus the tokens of a default executed run.
+    // The KV layout behind the defaults may change; the scheduled
+    // steps, timings and tokens may not.
+    ServingOptions robust;
+    robust.deadline_policy = DeadlinePolicy::kDropUnmeetable;
+    robust.shed_timeout_s = 2e-3;
+    robust.faults.seed = 11;
+    robust.faults.step_fail_prob = 0.2;
+    robust.faults.retry_budget = 2;
+    const ServingReport plain = run(ServingOptions{}, small_spec());
+    const ServingReport classed = run(robust, classed_spec());
+    EXPECT_EQ(plain.completed, plain.requests.size());
+    EXPECT_GT(classed.dropped, 0u);
+    EXPECT_GT(classed.shed, 0u);
+    EXPECT_GT(classed.step_faults, 0u);
+    EXPECT_EQ(step_log_fnv(plain, false), 0x2cd9b6ce9e5c5df1ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.makespan_s),
+              0x4044bf7ae619f849ull);
+    EXPECT_EQ(step_log_fnv(classed, false), 0x5a47f9f8fdd4437eull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(classed.makespan_s),
+              0x401caba102f09ed2ull);
+
+    const ServingReport executed =
+        serve_test::run_executed(exec_opts(), exec_spec());
+    EXPECT_EQ(executed.generated_checksum(), 0xab7cccebca59f5c0ull);
 }
 
 }  // namespace
