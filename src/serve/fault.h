@@ -8,7 +8,7 @@
 /// (an ECC trip, a driver reset, a lost RPC — the work is wasted and
 /// retried after a backoff), and a preempted request's swap-in failing
 /// (host-side KV rows lost or corrupt — the scheduler falls back to
-/// recompute-on-readmit, which the paged policy already proves
+/// recompute-on-readmit, which the paged pool already proves
 /// token-identical).
 ///
 /// Every decision is a pure function of (seed, site, attempt): the

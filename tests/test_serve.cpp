@@ -1,11 +1,12 @@
 // Tests of the serving layer: deterministic request streams, the
-// continuous-batching scheduler's invariants (admission caps, token
+// continuous-batching scheduler's invariants (batch caps, token
 // budgets, conservation, replayable step costs, KV occupancy), the
 // latency / throughput report, execution mode (real token generation
 // on the accuracy substrate without perturbing pricing), and the paged
-// KV policy (page-budget admission, preemption with swap or recompute,
-// prefix reuse) — all of which must leave every emitted token
-// bit-identical to the unpreempted slab run.
+// KV pool (page-budget admission, the derived default budget,
+// preemption with swap or recompute, prefix reuse) — none of which may
+// change an emitted token: every request must match its standalone
+// regeneration (serve_test::standalone_tokens).
 
 #include <gtest/gtest.h>
 
@@ -255,39 +256,8 @@ TEST_F(ServingSimTest, StepLogTracksCacheOccupancy)
     EXPECT_LE(report.peak_cache_tokens, bound);
 }
 
-TEST_F(ServingSimTest, CacheGateLimitsAdmission)
-{
-    ServingOptions open;
-    open.max_batch = 8;
-    open.max_step_tokens = 64;
-    RequestStreamSpec spec = small_spec();
-    spec.arrival_rate = 0.0;  // Burst: admission pressure is maximal.
-    const ServingReport free_run = run(open, spec);
-
-    ServingOptions gated = open;
-    gated.max_cache_tokens = 128;
-    const ServingReport gated_run = run(gated, spec);
-    // The gate holds requests back (here it binds: the open run peaks
-    // above the cap), so concurrency drops and the makespan stretches.
-    ASSERT_GT(free_run.peak_cache_tokens, gated.max_cache_tokens);
-    EXPECT_LT(gated_run.peak_batch, free_run.peak_batch);
-    EXPECT_GE(gated_run.makespan_s, free_run.makespan_s);
-    // Every request still finishes.
-    for (const auto &m : gated_run.requests) {
-        EXPECT_GT(m.finish_s, 0.0) << "id=" << m.id;
-    }
-    // A prompt that cannot ever pass the gate is rejected up front.
-    ServingOptions tiny_gate = open;
-    tiny_gate.max_cache_tokens = 2;
-    const auto requests = generate_requests(spec);
-    EXPECT_THROW(simulate_serving(find_model("llama-7b"),
-                                  find_system("anda"), tech16(),
-                                  requests, tiny_gate),
-                 std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------
-// Paged-policy scheduling (pricing-only).
+// Paged scheduling under a binding budget (pricing-only).
 
 /// Page budget that binds under small_spec's burst: the largest
 /// request footprint is pages(96 + 24 - 1) + 1 = 9 pages of 16 rows,
@@ -300,13 +270,12 @@ paged_opts(std::size_t budget = 12)
     opts.max_batch = 8;
     opts.max_step_tokens = 64;
     opts.tuple = {8, 7, 7, 6};
-    opts.cache_policy = CachePolicy::kPaged;
     opts.page_size = 16;
     opts.page_budget = budget;
     return opts;
 }
 
-TEST_F(ServingSimTest, PagedOverloadCompletesWhereSlabRejects)
+TEST_F(ServingSimTest, PagedOverloadCompletes)
 {
     RequestStreamSpec spec = small_spec();
     spec.arrival_rate = 0.0;  // Burst: maximal page pressure.
@@ -343,40 +312,6 @@ TEST_F(ServingSimTest, PagedOverloadCompletesWhereSlabRejects)
               paged.total_prompt_tokens + paged.recomputed_tokens);
     EXPECT_EQ(decode,
               paged.total_output_tokens - paged.requests.size());
-
-    // The prompt-gated slab baseline given the same memory as a token
-    // cap overshoots it during decode (the OOM a real deployment
-    // hits); the reserving slab baseline rejects up front as soon as
-    // the cap dips below the largest worst-case footprint (96 + 24 -
-    // 1 = 119 rows) — granularity paging does not need.
-    ServingOptions slab;
-    slab.max_batch = 8;
-    slab.max_step_tokens = 64;
-    slab.tuple = {8, 7, 7, 6};
-    slab.max_cache_tokens = budget_rows;
-    const ServingReport overshoot = run(slab, spec);
-    EXPECT_GT(overshoot.peak_cache_tokens, budget_rows);
-
-    ServingOptions reserve = slab;
-    reserve.cache_policy = CachePolicy::kSlabReserve;
-    reserve.max_cache_tokens = 112;
-    EXPECT_THROW(run(reserve, spec), std::invalid_argument);
-}
-
-TEST_F(ServingSimTest, ReservingSlabNeverOvershoots)
-{
-    RequestStreamSpec spec = small_spec();
-    spec.arrival_rate = 0.0;
-    ServingOptions reserve;
-    reserve.max_batch = 8;
-    reserve.max_step_tokens = 64;
-    reserve.cache_policy = CachePolicy::kSlabReserve;
-    reserve.max_cache_tokens = 256;  // >= 96 + 24 - 1, so all admit.
-    const ServingReport report = run(reserve, spec);
-    EXPECT_LE(report.peak_cache_tokens, reserve.max_cache_tokens);
-    for (const auto &m : report.requests) {
-        EXPECT_GT(m.finish_s, 0.0) << "id=" << m.id;
-    }
 }
 
 TEST_F(ServingSimTest, PagedSchedulingIsDeterministic)
@@ -427,13 +362,31 @@ TEST_F(ServingSimTest, PagedValidationRejectsBadBudgets)
     const auto requests = generate_requests(small_spec());
     const auto &model = find_model("llama-7b");
     const auto &system = find_system("anda");
-    // kPaged needs a page budget and a page size.
+    // page_budget = 0 derives a pool that fits a full batch of
+    // worst-case requests plus the shared-prefix anchor, so even a
+    // burst never preempts.
+    ServingOptions derived = paged_opts();
+    derived.page_budget = 0;
+    derived.shared_prefix_len = 20;
+    std::size_t max_rows = 0;
+    std::size_t max_prompt = 0;
+    for (const Request &r : requests) {
+        const auto prompt = static_cast<std::size_t>(r.prompt_len);
+        max_rows = std::max(
+            max_rows, prompt + static_cast<std::size_t>(r.output_len) - 1);
+        max_prompt = std::max(max_prompt, prompt);
+    }
+    const auto pages = [](std::size_t rows) { return (rows + 15) / 16; };
+    const ServingReport d =
+        simulate_serving(model, system, tech16(), requests, derived);
+    EXPECT_EQ(d.page_budget,
+              derived.max_batch * (pages(max_rows) + 1) +
+                  pages(std::min<std::size_t>(20, max_prompt)));
+    RequestStreamSpec burst = small_spec();
+    burst.arrival_rate = 0.0;
+    EXPECT_EQ(run(derived, burst).preemptions, 0u);
+    // A page size is required.
     ServingOptions bad = paged_opts();
-    bad.page_budget = 0;
-    EXPECT_THROW(
-        simulate_serving(model, system, tech16(), requests, bad),
-        std::invalid_argument);
-    bad = paged_opts();
     bad.page_size = 0;
     EXPECT_THROW(
         simulate_serving(model, system, tech16(), requests, bad),
@@ -542,15 +495,14 @@ TEST_F(ServingExecutionTest, RejectsRequestsBeyondExecutorMaxSeq)
 // single emitted token, and pricing-only paged runs must log the
 // identical allocate / preempt / readmit sequence.
 
-/// Exec options under the paged policy. The largest exec_spec request
-/// needs pages(40 + 16 - 1) + 1 = 8 pages of 8 rows; a tight budget
-/// leaves room for fewer full residents than max_batch = 4, forcing
-/// preemption, while a large budget never preempts.
+/// Exec options at an explicit page budget. The largest exec_spec
+/// request needs pages(40 + 16 - 1) + 1 = 8 pages of 8 rows; a tight
+/// budget leaves room for fewer full residents than max_batch = 4,
+/// forcing preemption, while a large budget never preempts.
 ServingOptions
 paged_exec_opts(std::size_t budget, PreemptPolicy policy)
 {
     ServingOptions opts = exec_opts();
-    opts.cache_policy = CachePolicy::kPaged;
     opts.page_size = 8;
     opts.page_budget = budget;
     opts.preempt = policy;
@@ -559,16 +511,17 @@ paged_exec_opts(std::size_t budget, PreemptPolicy policy)
 
 TEST_F(ServingExecutionTest, PreemptionDoesNotChangeTokens)
 {
-    // Baseline: slab policy, no preemption possible.
-    const ServingReport slab = run(exec_opts());
-    // Ample pages: paged layout, still no preemption.
+    // Baseline: the derived default budget, no preemption possible.
+    const ServingReport base = run(exec_opts());
+    EXPECT_EQ(base.preemptions, 0u);
+    // Ample pages at a smaller page size: still no preemption.
     const ServingReport roomy =
         run(paged_exec_opts(128, PreemptPolicy::kRecompute));
     EXPECT_EQ(roomy.preemptions, 0u);
-    ASSERT_EQ(roomy.requests.size(), slab.requests.size());
-    for (std::size_t i = 0; i < slab.requests.size(); ++i) {
-        EXPECT_EQ(roomy.requests[i].tokens, slab.requests[i].tokens)
-            << "id=" << slab.requests[i].id;
+    ASSERT_EQ(roomy.requests.size(), base.requests.size());
+    for (std::size_t i = 0; i < base.requests.size(); ++i) {
+        EXPECT_EQ(roomy.requests[i].tokens, base.requests[i].tokens)
+            << "id=" << base.requests[i].id;
     }
     // Tight pages: both preemption policies fire, yet every request's
     // token stream is bit-identical to the unpreempted runs.
@@ -578,11 +531,11 @@ TEST_F(ServingExecutionTest, PreemptionDoesNotChangeTokens)
         ASSERT_GE(tight.preemptions, 1u)
             << "budget too loose to exercise preemption";
         EXPECT_EQ(tight.readmits, tight.preemptions);
-        ASSERT_EQ(tight.requests.size(), slab.requests.size());
-        for (std::size_t i = 0; i < slab.requests.size(); ++i) {
+        ASSERT_EQ(tight.requests.size(), base.requests.size());
+        for (std::size_t i = 0; i < base.requests.size(); ++i) {
             EXPECT_EQ(tight.requests[i].tokens,
-                      slab.requests[i].tokens)
-                << "id=" << slab.requests[i].id;
+                      base.requests[i].tokens)
+                << "id=" << base.requests[i].id;
         }
         if (policy == PreemptPolicy::kRecompute) {
             EXPECT_GT(tight.recomputed_tokens, 0u);
@@ -629,21 +582,20 @@ TEST_F(ServingExecutionTest, PagedExecutionMatchesPricingStepLog)
 
 TEST_F(ServingExecutionTest, PrefixReuseSkipsPrefillWithoutTokenDrift)
 {
-    // A shared system prompt shapes the synthetic prompts under every
-    // policy, so slab and paged runs see identical requests; the
-    // paged run additionally adopts the anchor's K/V pages.
-    ServingOptions slab = exec_opts();
-    slab.shared_prefix_len = 12;
-    const ServingReport base = run(slab);
-
+    // Later admissions adopt the anchor's shared-prefix K/V pages
+    // instead of prefilling them; every request must still generate
+    // exactly its standalone regeneration over the full prompt.
     ServingOptions shared = paged_exec_opts(128, PreemptPolicy::kSwap);
     shared.shared_prefix_len = 12;
     const ServingReport reuse = run(shared);
     EXPECT_GT(reuse.reused_prefix_tokens, 0u);
-    ASSERT_EQ(reuse.requests.size(), base.requests.size());
-    for (std::size_t i = 0; i < base.requests.size(); ++i) {
-        EXPECT_EQ(reuse.requests[i].tokens, base.requests[i].tokens)
-            << "id=" << base.requests[i].id;
+    const auto requests = generate_requests(exec_spec());
+    ASSERT_EQ(reuse.requests.size(), requests.size());
+    for (const Request &r : requests) {
+        EXPECT_EQ(reuse.requests[static_cast<std::size_t>(r.id)].tokens,
+                  serve_test::standalone_tokens(tiny_executor(), r,
+                                                shared))
+            << "id=" << r.id;
     }
     // Adopted rows are never prefilled: conservation picks them up.
     std::size_t prefill = 0;
@@ -852,7 +804,6 @@ TEST_F(ServingSimTest, EvictionPolicyPicksTheRightVictim)
     opts.max_batch = 3;
     opts.max_step_tokens = 16;
     opts.tuple = {8, 7, 7, 6};
-    opts.cache_policy = CachePolicy::kPaged;
     opts.page_size = 4;
     opts.page_budget = 5;
     const struct {
@@ -1401,7 +1352,6 @@ TEST_F(ServingSimTest, GoldenPricedStepLogs)
     ServingOptions opts;
     opts.max_batch = 8;
     opts.max_step_tokens = 64;
-    opts.cache_policy = CachePolicy::kPaged;
     opts.page_size = 16;
     opts.preempt = PreemptPolicy::kSwap;
     opts.swap_gbps = 16.0;

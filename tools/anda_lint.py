@@ -10,7 +10,10 @@ Rules enforced:
                  hops, no same-directory shortcuts) so moves are a
                  one-line fix and the include graph greps cleanly.
                  A header sitting next to the including file (test
-                 utilities like tests/serve_test_util.h) is allowed.
+                 utilities like tests/serve_test_util.h) is allowed,
+                 and the smoke tools under tools/ (which have tests/
+                 on their include path) may name those utilities the
+                 same way.
 
   no-assert      No bare `assert(...)` under src/. Asserts vanish from
                  every Release build including the sanitizer CI lanes;
@@ -120,6 +123,10 @@ def lint_file(path: Path, root: Path, errors: list[str]) -> None:
         if m and not (
             (root / "src" / m.group(1)).is_file()
             or (path.parent / m.group(1)).is_file()
+            or (
+                rel.parts[0] == "tools"
+                and (root / "tests" / m.group(1)).is_file()
+            )
         ):
             errors.append(
                 f"{rel}:{lineno}: include-root: \"{m.group(1)}\" does "

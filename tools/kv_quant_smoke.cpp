@@ -1,7 +1,7 @@
 // Smoke test of quantized KV-cache serving, verified four ways:
 //  * default-off bit-identity — a run with kv_format at its FP32
 //    default replays an explicit-FP32 run summary-for-summary and
-//    step-for-step, and the summary carries no kvfmt segment;
+//    step-for-step, and the summary names the fp32 format;
 //  * capacity win — under the same kv_byte_budget the paged-overload
 //    scenario holds >= 3x more concurrent resident sequences with an
 //    Anda m=7 cache than with FP32, and the derived page budget
@@ -77,14 +77,13 @@ main()
         fail("explicit kv_format=fp32 diverges from the default");
     }
     if (base.kv_format != "fp32" ||
-        base.summary().find("kvfmt") != std::string::npos) {
-        fail("FP32 run reports a quantized KV format");
+        base.summary().find("kvfmt fp32 (") == std::string::npos) {
+        fail("FP32 run does not report the fp32 KV format");
     }
 
     // --- Capacity: same byte budget, paged overload. ---
     const std::size_t budget = std::size_t{512} << 20;  // 512 MiB.
     ServingOptions paged_fp32 = base_opts;
-    paged_fp32.cache_policy = CachePolicy::kPaged;
     paged_fp32.page_size = 16;
     paged_fp32.kv_byte_budget = budget;
     paged_fp32.max_batch = 64;
