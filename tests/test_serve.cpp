@@ -1417,5 +1417,32 @@ TEST_F(ServingSimTest, GoldenDefaultStepLogs)
     EXPECT_EQ(executed.generated_checksum(), 0xab7cccebca59f5c0ull);
 }
 
+TEST_F(ServingSimTest, GoldenQuantizedExecutedTokens)
+{
+    // Pins the tokens of executed runs over a quantized KV cache under
+    // swap preemption: every row is packed at its store, unpacked on
+    // attend, and swapped out and back in packed. Any drift in the KV
+    // pack/unpack kernels, the attention path or the GeMMs moves the
+    // checksum (the FP32 pin above never touches the quantized paths).
+    struct Golden {
+        KvFormat fmt;
+        std::uint64_t checksum;
+    };
+    const Golden goldens[] = {
+        {KvFormat::anda(7), 0x8ce113b44ab1442full},
+        {KvFormat::bfp(32, 8), 0x48ff8f709614107full},
+    };
+    for (const Golden &g : goldens) {
+        ServingOptions opts = paged_exec_opts(12, PreemptPolicy::kSwap);
+        opts.kv_format = g.fmt;
+        const ServingReport r =
+            serve_test::run_executed(opts, exec_spec());
+        EXPECT_EQ(r.completed, r.requests.size()) << g.fmt.name();
+        EXPECT_GE(r.preemptions, 1u) << g.fmt.name();
+        EXPECT_EQ(r.recomputed_tokens, 0u) << g.fmt.name();
+        EXPECT_EQ(r.generated_checksum(), g.checksum) << g.fmt.name();
+    }
+}
+
 }  // namespace
 }  // namespace anda
