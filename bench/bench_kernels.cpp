@@ -4,10 +4,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <vector>
 
 #include "common/rng.h"
 #include "format/compressor.h"
+#include "format/kv_format.h"
 #include "kernels/gemm.h"
 
 namespace {
@@ -88,6 +90,79 @@ BM_BpcCompressLane(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BpcCompressLane);
+
+// KV row pack/unpack at the sim d_model (128 = two Anda groups),
+// cycling through many distinct rows: one hot row lets the branch
+// predictor learn its bit pattern and hides any data-dependent cost.
+
+constexpr std::size_t kKvRowLen = 128;
+constexpr std::size_t kKvRows = 1024;
+
+void
+BM_KvPackRow(benchmark::State &state)
+{
+    const KvFormat fmt = KvFormat::anda(static_cast<int>(state.range(0)));
+    const auto vals = random_values(kKvRows * kKvRowLen, 9);
+    std::vector<std::byte> out(kv_row_bytes(fmt, kKvRowLen));
+    std::size_t r = 0;
+    for (auto _ : state) {
+        kv_pack_row(fmt,
+                    std::span<const float>(vals).subspan(
+                        r * kKvRowLen, kKvRowLen),
+                    out);
+        benchmark::DoNotOptimize(out.data());
+        r = (r + 1) % kKvRows;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvPackRow)->Arg(4)->Arg(7)->Arg(8)->Arg(13);
+
+void
+BM_KvUnpackRow(benchmark::State &state)
+{
+    const KvFormat fmt = KvFormat::anda(static_cast<int>(state.range(0)));
+    const auto vals = random_values(kKvRows * kKvRowLen, 10);
+    const std::size_t bytes = kv_row_bytes(fmt, kKvRowLen);
+    std::vector<std::byte> packed(kKvRows * bytes);
+    for (std::size_t r = 0; r < kKvRows; ++r) {
+        kv_pack_row(fmt,
+                    std::span<const float>(vals).subspan(
+                        r * kKvRowLen, kKvRowLen),
+                    std::span<std::byte>(packed).subspan(r * bytes,
+                                                         bytes));
+    }
+    std::vector<float> out(kKvRowLen);
+    std::size_t r = 0;
+    for (auto _ : state) {
+        kv_unpack_row(fmt,
+                      std::span<const std::byte>(packed).subspan(
+                          r * bytes, bytes),
+                      out);
+        benchmark::DoNotOptimize(out.data());
+        r = (r + 1) % kKvRows;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvUnpackRow)->Arg(4)->Arg(7)->Arg(8)->Arg(13);
+
+// matmul_wt on a decode-sized block (16 rows, one per batch slot) at
+// the four sim-dims taps of the llama family: qkv and o (128 -> 128),
+// u (128 -> 384), d (384 -> 128). Single-threaded, as in the executor.
+void
+BM_MatmulWtDecode(benchmark::State &state)
+{
+    constexpr std::array<std::array<std::size_t, 2>, 4> kTaps = {
+        {{128, 128}, {128, 128}, {128, 384}, {384, 128}}};
+    const auto [k, n] = kTaps[static_cast<std::size_t>(state.range(0))];
+    const Matrix a = random_matrix(16, k, 11);
+    const Matrix w = random_matrix(n, k, 12);
+    for (auto _ : state) {
+        Matrix c = matmul_wt(a, w, /*threads=*/1);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 16 * k * n);
+}
+BENCHMARK(BM_MatmulWtDecode)->ArgName("tap")->DenseRange(0, 3);
 
 // GeMM benchmarks come in a pinned single-threaded variant (the
 // machine-independent number used for before/after kernel comparisons)

@@ -1,6 +1,7 @@
 #include "format/kv_format.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -25,29 +26,29 @@ effective_exponent(Fp16 h)
 /// Quantizes one group: shared max effective exponent, significands
 /// aligned by their exponent distance and cut to `m` bits — truncated
 /// (the hardware path) or rounded to nearest with saturation at the
-/// mantissa ceiling. Returns the shared biased exponent.
+/// mantissa ceiling. Each value is converted to FP16 once, into `h`.
+/// Returns the shared biased exponent.
 std::uint8_t
 quantize_group(std::span<const float> vals, int m, bool round_nearest,
-               std::uint32_t *mant, std::uint8_t *sign)
+               Fp16 *h, std::uint32_t *mant, std::uint8_t *sign)
 {
     int max_exp = 1;
-    for (const float v : vals) {
-        const Fp16 h(v);
-        if (!h.is_zero()) {
-            max_exp = std::max(max_exp, effective_exponent(h));
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        h[i] = Fp16(vals[i]);
+        if (!h[i].is_zero()) {
+            max_exp = std::max(max_exp, effective_exponent(h[i]));
         }
     }
     for (std::size_t i = 0; i < vals.size(); ++i) {
-        const Fp16 h(vals[i]);
-        sign[i] = static_cast<std::uint8_t>(h.sign());
-        if (h.is_zero()) {
+        sign[i] = static_cast<std::uint8_t>(h[i].sign());
+        if (h[i].is_zero()) {
             mant[i] = 0;
             continue;
         }
-        const int dist = max_exp - effective_exponent(h);
+        const int dist = max_exp - effective_exponent(h[i]);
         const int ts = dist + (Fp16::kMantissaBits + 1 - m);
         const std::uint64_t sig =
-            static_cast<std::uint64_t>(h.significand());
+            static_cast<std::uint64_t>(h[i].significand());
         std::uint64_t q;
         if (ts <= 0) {
             // Headroom bits (m > 11 - dist): lossless left shift.
@@ -66,11 +67,25 @@ quantize_group(std::span<const float> vals, int m, bool round_nearest,
     return static_cast<std::uint8_t>(max_exp);
 }
 
+/// `mag` with its sign bit set when `neg` is 1: bit-identical to
+/// `neg ? -mag : mag` (IEEE negation flips only the sign bit) without
+/// a data-dependent branch.
+inline float
+apply_sign(float mag, std::uint32_t neg)
+{
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(mag) ^
+                                (neg << 31));
+}
+
 inline void
 store_u64_le(std::uint64_t w, std::byte *out)
 {
-    for (int b = 0; b < 8; ++b) {
-        out[b] = static_cast<std::byte>((w >> (8 * b)) & 0xff);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, &w, 8);
+    } else {
+        for (int b = 0; b < 8; ++b) {
+            out[b] = static_cast<std::byte>((w >> (8 * b)) & 0xff);
+        }
     }
 }
 
@@ -78,10 +93,14 @@ inline std::uint64_t
 load_u64_le(const std::byte *in)
 {
     std::uint64_t w = 0;
-    for (int b = 0; b < 8; ++b) {
-        w |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(
-                 in[b]))
-             << (8 * b);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&w, in, 8);
+    } else {
+        for (int b = 0; b < 8; ++b) {
+            w |= static_cast<std::uint64_t>(
+                     std::to_integer<std::uint8_t>(in[b]))
+                 << (8 * b);
+        }
     }
     return w;
 }
@@ -106,26 +125,115 @@ anda_group_bytes(int m)
 /// Scratch for one group's quantization (kAndaGroupSize is the
 /// largest fixed group; kBfp groups above 64 fall back to the heap).
 struct GroupScratch {
+    Fp16 h_fixed[kAndaGroupSize];
     std::uint32_t mant_fixed[kAndaGroupSize];
     std::uint8_t sign_fixed[kAndaGroupSize];
+    std::vector<Fp16> h_heap;
     std::vector<std::uint32_t> mant_heap;
     std::vector<std::uint8_t> sign_heap;
+    Fp16 *h = nullptr;
     std::uint32_t *mant = nullptr;
     std::uint8_t *sign = nullptr;
 
     explicit GroupScratch(std::size_t group_size)
     {
         if (group_size <= kAndaGroupSize) {
+            h = h_fixed;
             mant = mant_fixed;
             sign = sign_fixed;
         } else {
+            h_heap.resize(group_size);
             mant_heap.resize(group_size);
             sign_heap.resize(group_size);
+            h = h_heap.data();
             mant = mant_heap.data();
             sign = sign_heap.data();
         }
     }
 };
+
+/// Eight bits in byte lanes: bit j of the index lands as 0 or 1 in
+/// byte j. Spreads one plane byte (8 members) into 8 lanes.
+constexpr std::array<std::uint64_t, 256> kByteSpread = [] {
+    std::array<std::uint64_t, 256> t{};
+    for (std::uint64_t b = 0; b < 256; ++b) {
+        for (int j = 0; j < 8; ++j) {
+            t[b] |= ((b >> j) & 1) << (8 * j);
+        }
+    }
+    return t;
+}();
+
+/// Lowest bit of every byte lane.
+constexpr std::uint64_t kLaneLsb = 0x0101010101010101ull;
+
+/// Gathers the lowest bit of each byte lane into one byte: for
+/// x = lanes & kLaneLsb, (x * kLaneGather) >> 56 has bit j = lane j.
+/// Lane j's bit times the multiplier's 2^(7(7-j)+7) term lands on bit
+/// 56 + j; all 64 partial products sit on distinct bits, so nothing
+/// carries into the top byte.
+constexpr std::uint64_t kLaneGather = 0x0102040810204080ull;
+
+/// Plane -> lane transpose of one Anda group: mant[i] = sum over
+/// planes p of bit i of planes[p] << (m - 1 - p) (plane 0 is the
+/// mantissa MSB). Each 64-bit word holds 8 members in byte lanes; a
+/// lane takes at most 8 plane bits, so the low 8 mantissa bits and
+/// the (m - 8) high bits are shifted in as two separate lane words
+/// and reassembled exactly. Fixed work per group, no data-dependent
+/// branch.
+void
+anda_planes_to_mantissas(const std::uint64_t *planes, int m,
+                         std::uint32_t *mant)
+{
+    const int hi_planes = std::max(0, m - 8);
+    for (int k = 0; k < 8; ++k) {
+        const int sh = 8 * k;
+        std::uint64_t hi = 0;
+        for (int p = 0; p < hi_planes; ++p) {
+            hi = (hi << 1) | kByteSpread[(planes[p] >> sh) & 0xff];
+        }
+        std::uint64_t lo = 0;
+        for (int p = hi_planes; p < m; ++p) {
+            lo = (lo << 1) | kByteSpread[(planes[p] >> sh) & 0xff];
+        }
+        for (int j = 0; j < 8; ++j) {
+            mant[8 * k + j] = static_cast<std::uint32_t>(
+                (((hi >> (8 * j)) & 0xff) << 8) |
+                ((lo >> (8 * j)) & 0xff));
+        }
+    }
+}
+
+/// Lane -> plane transpose, the inverse of anda_planes_to_mantissas:
+/// bit b of mant[i] becomes bit i of plane 1 + (m - 1 - b) and sign[i]
+/// bit i of plane 0. Members are taken 8 at a time into byte lanes
+/// (low and high mantissa bytes separately), and each plane byte is
+/// one masked multiply-gather.
+void
+anda_mantissas_to_planes(const std::uint32_t *mant,
+                         const std::uint8_t *sign, int m,
+                         std::uint64_t *planes)
+{
+    for (int k = 0; k < 8; ++k) {
+        const int sh = 8 * k;
+        std::uint64_t lo = 0;
+        std::uint64_t hi = 0;
+        std::uint64_t sg = 0;
+        for (int j = 0; j < 8; ++j) {
+            const std::uint32_t v = mant[8 * k + j];
+            lo |= static_cast<std::uint64_t>(v & 0xff) << (8 * j);
+            hi |= static_cast<std::uint64_t>((v >> 8) & 0xff) << (8 * j);
+            sg |= static_cast<std::uint64_t>(sign[8 * k + j] & 1)
+                  << (8 * j);
+        }
+        planes[0] |= ((sg * kLaneGather) >> 56) << sh;
+        for (int b = 0; b < m; ++b) {
+            const std::uint64_t lanes = b < 8 ? lo >> b : hi >> (b - 8);
+            planes[1 + (m - 1 - b)] |=
+                (((lanes & kLaneLsb) * kLaneGather) >> 56) << sh;
+        }
+    }
+}
 
 void
 pack_bfp(const KvFormat &fmt, std::span<const float> row,
@@ -139,8 +247,8 @@ pack_bfp(const KvFormat &fmt, std::span<const float> row,
     for (std::size_t base = 0; base < row.size(); base += gs) {
         const std::size_t len = std::min(gs, row.size() - base);
         const std::uint8_t exp = quantize_group(
-            row.subspan(base, len), m, fmt.round_nearest, scratch.mant,
-            scratch.sign);
+            row.subspan(base, len), m, fmt.round_nearest, scratch.h,
+            scratch.mant, scratch.sign);
         out[off] = static_cast<std::byte>(exp);
         std::byte *bits = out.data() + off + 1;
         if (serial) {
@@ -233,7 +341,8 @@ unpack_bfp(const KvFormat &fmt, std::span<const std::byte> in,
                 nbits -= w;
                 const float mag =
                     static_cast<float>(field >> 1) * scale;
-                out[base + i] = (field & 1) ? -mag : mag;
+                out[base + i] = apply_sign(
+                    mag, static_cast<std::uint32_t>(field & 1));
             }
         }
         off += bfp_group_bytes(len, m);
@@ -251,8 +360,8 @@ pack_anda(const KvFormat &fmt, std::span<const float> row,
     for (std::size_t base = 0; base < row.size(); base += gs) {
         const std::size_t len = std::min(gs, row.size() - base);
         const std::uint8_t exp = quantize_group(
-            row.subspan(base, len), m, fmt.round_nearest, scratch.mant,
-            scratch.sign);
+            row.subspan(base, len), m, fmt.round_nearest, scratch.h,
+            scratch.mant, scratch.sign);
         out[off] = static_cast<std::byte>(exp);
         std::uint64_t planes[1 + kAndaMaxMantissa] = {};
         if (serial) {
@@ -273,19 +382,14 @@ pack_anda(const KvFormat &fmt, std::span<const float> row,
                 }
             }
         } else {
-            // Word-level fast path: scatter each member's set bits
-            // into its planes (sparse — one step per set bit).
-            for (std::size_t i = 0; i < len; ++i) {
-                if (scratch.sign[i]) {
-                    planes[0] |= std::uint64_t{1} << i;
-                }
-                std::uint32_t rem = scratch.mant[i];
-                while (rem != 0) {
-                    const int b = std::countr_zero(rem);
-                    rem &= rem - 1;
-                    planes[1 + (m - 1 - b)] |= std::uint64_t{1} << i;
-                }
-            }
+            // Word-level fast path: a trailing partial group's padding
+            // members are zero (exact in BFP), then all 64 members go
+            // through the lane -> plane transpose.
+            std::fill(scratch.mant + len, scratch.mant + gs, 0u);
+            std::fill(scratch.sign + len, scratch.sign + gs,
+                      std::uint8_t{0});
+            anda_mantissas_to_planes(scratch.mant, scratch.sign, m,
+                                     planes);
         }
         for (int p = 0; p < 1 + m; ++p) {
             store_u64_le(planes[p], out.data() + off + 1 + 8 * p);
@@ -320,20 +424,18 @@ unpack_anda(const KvFormat &fmt, std::span<const std::byte> in,
                 }
             }
         } else {
+            std::uint64_t planes[kAndaMaxMantissa];
             for (int p = 0; p < m; ++p) {
-                std::uint64_t plane = load_u64_le(body + 8 * (1 + p));
-                const std::uint32_t weight = std::uint32_t{1}
-                                             << (m - 1 - p);
-                while (plane != 0) {
-                    const int i = std::countr_zero(plane);
-                    plane &= plane - 1;
-                    mant[static_cast<std::size_t>(i)] += weight;
-                }
+                planes[p] = load_u64_le(body + 8 * (1 + p));
             }
+            anda_planes_to_mantissas(planes, m, mant);
         }
         for (std::size_t i = 0; i < len; ++i) {
             const float mag = static_cast<float>(mant[i]) * scale;
-            out[base + i] = ((sign_plane >> i) & 1) ? -mag : mag;
+            const auto neg =
+                static_cast<std::uint32_t>((sign_plane >> i) & 1);
+            out[base + i] =
+                serial ? (neg ? -mag : mag) : apply_sign(mag, neg);
         }
         off += anda_group_bytes(m);
     }

@@ -23,10 +23,14 @@
 /// Both quantized kinds support truncation (the hardware default, as
 /// in encode_bfp_group) and round-to-nearest with saturation at the
 /// mantissa ceiling. kv_pack_row / kv_unpack_row are the word-level
-/// fast paths; kv_pack_row_serial / kv_unpack_row_serial emit and
-/// reassemble one bit per step the way the bit-plane hardware does,
-/// and tests assert the fast paths are byte-identical to them (the
-/// oracle pattern of kernels/gemm.h's anda_group_dot).
+/// fast paths: kBfp fields stream through a 64-bit accumulator, and
+/// kAnda planes are transposed to and from per-member mantissas 8
+/// members per 64-bit word (byte lanes), with a fixed amount of work
+/// per group whatever the bit pattern. kv_pack_row_serial /
+/// kv_unpack_row_serial emit and reassemble one bit per step the way
+/// the bit-plane hardware does, and tests assert the fast paths are
+/// byte-identical to them (the oracle pattern of kernels/gemm.h's
+/// anda_group_dot).
 
 #include <cstddef>
 #include <span>

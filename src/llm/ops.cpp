@@ -75,6 +75,31 @@ silu(float x)
     return x / (1.0f + std::exp(-x));
 }
 
+namespace {
+
+/// The rotation angle of pair i of a head_dim-wide head at `pos`.
+inline double
+rope_angle(double pos, std::size_t i, std::size_t head_dim)
+{
+    const double freq =
+        std::pow(10000.0, -2.0 * static_cast<double>(i) /
+                              static_cast<double>(head_dim));
+    return pos * freq;
+}
+
+/// Rotates pair (head[i], head[i + half]) by (c, s).
+inline void
+rope_rotate(std::span<float> head, std::size_t i, std::size_t half,
+            float c, float s)
+{
+    const float a = head[i];
+    const float b = head[i + half];
+    head[i] = a * c - b * s;
+    head[i + half] = a * s + b * c;
+}
+
+}  // namespace
+
 void
 rope_inplace(std::span<float> head, int pos)
 {
@@ -82,16 +107,37 @@ rope_inplace(std::span<float> head, int pos)
                    "RoPE head dimension must be even");
     const std::size_t half = head.size() / 2;
     for (std::size_t i = 0; i < half; ++i) {
-        const double freq =
-            std::pow(10000.0, -2.0 * static_cast<double>(i) /
-                                  static_cast<double>(head.size()));
-        const double angle = static_cast<double>(pos) * freq;
-        const float c = static_cast<float>(std::cos(angle));
-        const float s = static_cast<float>(std::sin(angle));
-        const float a = head[i];
-        const float b = head[i + half];
-        head[i] = a * c - b * s;
-        head[i + half] = a * s + b * c;
+        const double angle =
+            rope_angle(static_cast<double>(pos), i, head.size());
+        rope_rotate(head, i, half, static_cast<float>(std::cos(angle)),
+                    static_cast<float>(std::sin(angle)));
+    }
+}
+
+RopeTable::RopeTable(std::size_t head_dim, std::size_t max_pos)
+    : half_(head_dim / 2), cos_(max_pos * half_), sin_(max_pos * half_)
+{
+    ANDA_CHECK_EQ(head_dim % 2, 0u, "RoPE head dimension must be even");
+    for (std::size_t pos = 0; pos < max_pos; ++pos) {
+        for (std::size_t i = 0; i < half_; ++i) {
+            const double angle =
+                rope_angle(static_cast<double>(pos), i, head_dim);
+            cos_[pos * half_ + i] = static_cast<float>(std::cos(angle));
+            sin_[pos * half_ + i] = static_cast<float>(std::sin(angle));
+        }
+    }
+}
+
+void
+RopeTable::apply(std::span<float> head, std::size_t pos) const
+{
+    ANDA_DCHECK_EQ(head.size(), 2 * half_, "RoPE head width mismatch");
+    ANDA_DCHECK_LE((pos + 1) * half_, cos_.size(),
+                   "RoPE position outside the table");
+    const float *c = cos_.data() + pos * half_;
+    const float *s = sin_.data() + pos * half_;
+    for (std::size_t i = 0; i < half_; ++i) {
+        rope_rotate(head, i, half_, c[i], s[i]);
     }
 }
 
@@ -127,6 +173,74 @@ causal_attention_head(const Matrix &q, const Matrix &k, const Matrix &v,
             }
             out(i, c) = acc;
         }
+    }
+}
+
+void
+causal_attention_view(std::span<const float *const> q,
+                      std::span<const float *const> k,
+                      std::span<const float *const> v,
+                      std::span<float *const> out, std::size_t col,
+                      std::size_t head_dim, std::size_t q_offset,
+                      std::vector<float> &scratch)
+{
+    ANDA_DCHECK(q.size() == out.size() && k.size() == v.size(),
+                "attention view row counts must agree");
+    const std::size_t kv_len = k.size();
+    const float scale =
+        1.0f / std::sqrt(static_cast<float>(head_dim));
+    if (scratch.size() < kv_len + head_dim) {
+        scratch.resize(kv_len + head_dim);
+    }
+    float *scores = scratch.data();
+    float *acc = scratch.data() + kv_len;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        const std::size_t visible =
+            std::min(kv_len, q_offset + i + 1);
+        const float *qi = q[i] + col;
+        // Four keys per pass over the query: independent serial sums,
+        // each in causal_attention_head's order.
+        std::size_t j = 0;
+        for (; j + 4 <= visible; j += 4) {
+            const float *k0 = k[j] + col;
+            const float *k1 = k[j + 1] + col;
+            const float *k2 = k[j + 2] + col;
+            const float *k3 = k[j + 3] + col;
+            float s0 = 0.0f;
+            float s1 = 0.0f;
+            float s2 = 0.0f;
+            float s3 = 0.0f;
+            for (std::size_t c = 0; c < head_dim; ++c) {
+                s0 += qi[c] * k0[c];
+                s1 += qi[c] * k1[c];
+                s2 += qi[c] * k2[c];
+                s3 += qi[c] * k3[c];
+            }
+            scores[j] = s0 * scale;
+            scores[j + 1] = s1 * scale;
+            scores[j + 2] = s2 * scale;
+            scores[j + 3] = s3 * scale;
+        }
+        for (; j < visible; ++j) {
+            const float *kj = k[j] + col;
+            float s = 0.0f;
+            for (std::size_t c = 0; c < head_dim; ++c) {
+                s += qi[c] * kj[c];
+            }
+            scores[j] = s * scale;
+        }
+        softmax_inplace(std::span<float>(scores, visible));
+        // Each output column sums scores[j] * v[j] over j in order, as
+        // the reference does, but row by row over contiguous V.
+        std::fill(acc, acc + head_dim, 0.0f);
+        for (j = 0; j < visible; ++j) {
+            const float p = scores[j];
+            const float *vj = v[j] + col;
+            for (std::size_t c = 0; c < head_dim; ++c) {
+                acc[c] += p * vj[c];
+            }
+        }
+        std::copy(acc, acc + head_dim, out[i] + col);
     }
 }
 

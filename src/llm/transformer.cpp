@@ -134,6 +134,11 @@ Transformer::Transformer(const ModelConfig &cfg) : cfg_(cfg)
         round_matrix_fp16(pos_embedding_);
     }
 
+    if (cfg_.is_llama()) {
+        rope_ = RopeTable(static_cast<std::size_t>(d.d_model / d.n_heads),
+                          static_cast<std::size_t>(d.max_seq));
+    }
+
     final_norm_gain_.resize(static_cast<std::size_t>(d.d_model));
     for (auto &g : final_norm_gain_) {
         g = static_cast<float>(rng.lognormal(0.0, 0.15));
@@ -240,7 +245,8 @@ Transformer::embed_into(std::span<const int> tokens,
 void
 Transformer::run_block(std::size_t layer, Matrix &x,
                        const RunOptions &opts, BatchKvCache *kv,
-                       std::span<const std::size_t> seq_lens) const
+                       std::span<const std::size_t> seq_lens,
+                       BlockScratch &scratch) const
 {
     const ModelDims &dims = cfg_.sim;
     const LayerWeights &lw = layers_[layer];
@@ -288,10 +294,8 @@ Transformer::run_block(std::size_t layer, Matrix &x,
             for (std::size_t t = 0; t < len; ++t) {
                 const std::size_t pos = base + t;
                 for (std::size_t h = 0; h < heads; ++h) {
-                    rope_inplace(q.row(off + t).subspan(h * hd, hd),
-                                 static_cast<int>(pos));
-                    rope_inplace(k.row(off + t).subspan(h * hd, hd),
-                                 static_cast<int>(pos));
+                    rope_.apply(q.row(off + t).subspan(h * hd, hd), pos);
+                    rope_.apply(k.row(off + t).subspan(h * hd, hd), pos);
                 }
             }
             off += len;
@@ -320,23 +324,15 @@ Transformer::run_block(std::size_t layer, Matrix &x,
 
     Matrix ctx(t_len, d);
     {
-        // Scratch head views, re-shaped only when the sequence length
-        // (and hence kv_len) changes across the ragged batch.
-        Matrix qh;
-        Matrix kh;
-        Matrix vh;
-        Matrix oh;
-        // Per-row K/V source spans of the current sequence, resolved
-        // once per sequence (not once per head): with a cache the
-        // rows come through the KvSeq page/slab indirection; without
-        // one, from the local projection block.
-        std::vector<std::span<const float>> krows;
-        std::vector<std::span<const float>> vrows;
-        // Dequantize-on-attend scratch: a quantized cache has no
-        // in-place float rows, so its prefix is unpacked here once
-        // per (sequence, layer) and the spans point into the scratch.
-        Matrix kgat;
-        Matrix vgat;
+        // Heads are attended in place as column slices of whole rows:
+        // the row pointers of each sequence are resolved once (not once
+        // per head). With a cache the K/V rows come through the KvSeq
+        // page/slab indirection; without one, from the local
+        // projection block.
+        std::vector<const float *> &qrows = scratch.qrows;
+        std::vector<const float *> &krows = scratch.krows;
+        std::vector<const float *> &vrows = scratch.vrows;
+        std::vector<float *> &orows = scratch.orows;
         std::size_t r0 = 0;
         for (std::size_t s = 0; s < seq_lens.size(); ++s) {
             const std::size_t len = seq_lens[s];
@@ -352,56 +348,42 @@ Transformer::run_block(std::size_t layer, Matrix &x,
             if (kv != nullptr) {
                 const KvSeq &c = kv->seq(s);
                 if (c.format().quantized()) {
-                    if (kgat.rows() < kv_len) {
-                        kgat = Matrix(kv_len, d);
-                        vgat = Matrix(kv_len, d);
+                    // Dequantize-on-attend: a quantized cache has no
+                    // in-place float rows, so its prefix is unpacked
+                    // once per (sequence, layer) into step scratch.
+                    if (scratch.kdeq.size() < kv_len * d) {
+                        scratch.kdeq.resize(kv_len * d);
+                        scratch.vdeq.resize(kv_len * d);
                     }
                     for (std::size_t t = 0; t < kv_len; ++t) {
-                        c.load_k(layer, t, kgat.row(t));
-                        c.load_v(layer, t, vgat.row(t));
-                        krows[t] = kgat.row(t);
-                        vrows[t] = vgat.row(t);
+                        float *kd = scratch.kdeq.data() + t * d;
+                        float *vd = scratch.vdeq.data() + t * d;
+                        c.load_k(layer, t, {kd, d});
+                        c.load_v(layer, t, {vd, d});
+                        krows[t] = kd;
+                        vrows[t] = vd;
                     }
                 } else {
                     for (std::size_t t = 0; t < kv_len; ++t) {
-                        krows[t] = c.k_row(layer, t);
-                        vrows[t] = c.v_row(layer, t);
+                        krows[t] = c.k_row(layer, t).data();
+                        vrows[t] = c.v_row(layer, t).data();
                     }
                 }
             } else {
                 for (std::size_t t = 0; t < kv_len; ++t) {
-                    krows[t] = k.row(r0 + t);
-                    vrows[t] = v.row(r0 + t);
+                    krows[t] = k.row(r0 + t).data();
+                    vrows[t] = v.row(r0 + t).data();
                 }
             }
-            if (qh.rows() != len) {
-                qh = Matrix(len, hd);
-                oh = Matrix(len, hd);
-            }
-            if (kh.rows() != kv_len) {
-                kh = Matrix(kv_len, hd);
-                vh = Matrix(kv_len, hd);
+            qrows.resize(len);
+            orows.resize(len);
+            for (std::size_t t = 0; t < len; ++t) {
+                qrows[t] = q.row(r0 + t).data();
+                orows[t] = ctx.row(r0 + t).data();
             }
             for (std::size_t h = 0; h < heads; ++h) {
-                for (std::size_t t = 0; t < len; ++t) {
-                    const auto src =
-                        q.row(r0 + t).subspan(h * hd, hd);
-                    std::copy(src.begin(), src.end(),
-                              qh.row(t).begin());
-                }
-                for (std::size_t t = 0; t < kv_len; ++t) {
-                    const auto ks = krows[t].subspan(h * hd, hd);
-                    const auto vs = vrows[t].subspan(h * hd, hd);
-                    std::copy(ks.begin(), ks.end(), kh.row(t).begin());
-                    std::copy(vs.begin(), vs.end(), vh.row(t).begin());
-                }
-                causal_attention_head(qh, kh, vh, kv_len, base, oh);
-                for (std::size_t t = 0; t < len; ++t) {
-                    const auto dst =
-                        ctx.row(r0 + t).subspan(h * hd, hd);
-                    std::copy(oh.row(t).begin(), oh.row(t).end(),
-                              dst.begin());
-                }
+                causal_attention_view(qrows, krows, vrows, orows, h * hd,
+                                      hd, base, scratch.attn);
             }
             r0 += len;
         }
@@ -533,8 +515,9 @@ Transformer::forward_hidden(std::span<const int> tokens_flat,
         embed_into(tokens_flat.subspan(off, len), base, x, off);
         off += len;
     }
+    BlockScratch scratch;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-        run_block(l, x, opts, kv, seq_lens);
+        run_block(l, x, opts, kv, seq_lens, scratch);
     }
     if (kv != nullptr) {
         // Commit only after every layer consumed the pre-step lengths.

@@ -22,6 +22,7 @@
 #include "kernels/gemm.h"
 #include "llm/config.h"
 #include "llm/kv_cache.h"
+#include "llm/ops.h"
 #include "quant/weight_quant.h"
 
 namespace anda {
@@ -159,6 +160,24 @@ class Transformer {
         Matrix w_up_dq, w_down_dq;
     };
 
+    /// Per-step attention scratch, shared by every layer of one
+    /// forward pass: grown to the step's largest need, never
+    /// zero-filled again.
+    struct BlockScratch {
+        /// Row pointers of the current sequence's queries, keys,
+        /// values and context rows (heads are column slices of them).
+        std::vector<const float *> qrows;
+        std::vector<const float *> krows;
+        std::vector<const float *> vrows;
+        std::vector<float *> orows;
+        /// Dequantized K/V prefix of one (sequence, layer) of a
+        /// quantized cache, [kv_len x d] each.
+        std::vector<float> kdeq;
+        std::vector<float> vdeq;
+        /// Scores and accumulator of causal_attention_view.
+        std::vector<float> attn;
+    };
+
     /// Runs one transformer block over x [sum(T_i) x d] in place,
     /// where seq_lens lists the packed per-sequence lengths; all
     /// row-wise operations span the packed rows, attention is
@@ -171,8 +190,8 @@ class Transformer {
     /// access is row-by-row through the KvSeq interface, so slab and
     /// paged layouts take the identical compute path.
     void run_block(std::size_t layer, Matrix &x, const RunOptions &opts,
-                   BatchKvCache *kv,
-                   std::span<const std::size_t> seq_lens) const;
+                   BatchKvCache *kv, std::span<const std::size_t> seq_lens,
+                   BlockScratch &scratch) const;
 
     const Matrix &pick(const Matrix &full, const Matrix &dq,
                        const RunOptions &opts) const
@@ -205,6 +224,7 @@ class Transformer {
     Matrix lm_head_;        // [vocab x d], untied from the embedding
     Matrix pos_embedding_;  // [max_seq x d] (OPT only)
     std::vector<float> final_norm_gain_;
+    RopeTable rope_;  // [max_seq positions] (LLaMA only)
     std::vector<LayerWeights> layers_;
 };
 

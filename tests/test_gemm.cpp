@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,39 @@ TEST(Gemm, MatmulMatchesDoubleReference)
     const Matrix fast = matmul_wt(a, w);
     const Matrix ref = gemm_ref(a, w);
     EXPECT_LT(max_abs_diff(fast, ref), 1e-3);
+}
+
+TEST(Gemm, MatmulBitEqualsDotF32)
+{
+    // matmul_wt's register-blocked outputs keep dot_f32's lane order,
+    // so every element must be bit-equal to dot_f32 over its row pair:
+    // across token counts, every N % 4 residue (blocked outputs plus
+    // the per-output tail), K below / at / above one 16-lane block,
+    // and serial and pooled execution.
+    std::uint64_t seed = 10;
+    for (const std::size_t rows : {1u, 16u, 17u}) {
+        for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u}) {
+            for (const std::size_t k : {1u, 15u, 16u, 17u, 130u, 384u}) {
+                const Matrix a = random_matrix(rows, k, ++seed);
+                const Matrix w = random_matrix(n, k, ++seed, 1.0, 0.05);
+                for (const std::size_t threads : {1u, 0u}) {
+                    const Matrix c = matmul_wt(a, w, threads);
+                    for (std::size_t t = 0; t < rows; ++t) {
+                        for (std::size_t o = 0; o < n; ++o) {
+                            const float ref = dot_f32(
+                                a.row(t).data(), w.row(o).data(), k);
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                                          c(t, o)),
+                                      std::bit_cast<std::uint32_t>(ref))
+                                << "rows=" << rows << " n=" << n
+                                << " k=" << k << " threads=" << threads
+                                << " at (" << t << ", " << o << ")";
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Gemm, DotHandlesShortAndUnalignedLengths)

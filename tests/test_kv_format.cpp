@@ -61,7 +61,9 @@ quantized_formats()
 {
     std::vector<KvFormat> fmts;
     for (const bool rn : {false, true}) {
-        for (const int m : {1, 4, 7, 11, 16}) {
+        // m = 8 / 9 straddle the byte-lane boundary of the Anda
+        // plane transposes (low byte only vs. low + high bytes).
+        for (const int m : {1, 4, 7, 8, 9, 11, 16}) {
             fmts.push_back(KvFormat::anda(m, rn));
         }
         for (const int gs : {3, 16, 32, 64, 100}) {
