@@ -57,10 +57,10 @@ Fp16::from_float_bits(float value)
         const std::uint32_t round_bit = (sig >> (shift - 1)) & 1u;
         const std::uint32_t sticky =
             (sig & ((1u << (shift - 1)) - 1u)) != 0 ? 1u : 0u;
-        std::uint32_t out = kept;
-        if (round_bit && (sticky || (kept & 1u))) {
-            ++out;  // May carry into the exponent field: that is correct.
-        }
+        // Round half to even, without a data-dependent branch. May
+        // carry into the exponent field: that is correct.
+        const std::uint32_t out =
+            kept + (round_bit & (sticky | (kept & 1u)));
         return static_cast<std::uint16_t>(sign | out);
     }
 
@@ -68,11 +68,11 @@ Fp16::from_float_bits(float value)
     const std::uint32_t kept = mant32 >> 13;
     const std::uint32_t round_bit = (mant32 >> 12) & 1u;
     const std::uint32_t sticky = (mant32 & 0xfffu) != 0 ? 1u : 0u;
-    std::uint32_t out =
-        (static_cast<std::uint32_t>(exp16) << 10) | kept;
-    if (round_bit && (sticky || (kept & 1u))) {
-        ++out;  // Carry may bump the exponent (possibly to infinity).
-    }
+    // Round half to even; the carry may bump the exponent (possibly
+    // to infinity).
+    const std::uint32_t out =
+        ((static_cast<std::uint32_t>(exp16) << 10) | kept) +
+        (round_bit & (sticky | (kept & 1u)));
     return static_cast<std::uint16_t>(sign | out);
 }
 

@@ -1,7 +1,9 @@
 #include "format/bfp.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 
@@ -14,8 +16,7 @@ namespace {
 inline int
 effective_exponent(Fp16 h)
 {
-    const int e = h.biased_exponent();
-    return e == 0 ? 1 : e;
+    return std::max(h.biased_exponent(), 1);
 }
 
 }  // namespace
@@ -101,17 +102,47 @@ bfp_roundtrip(std::span<const float> input, std::span<float> output,
     ANDA_CHECK_EQ(input.size(), output.size(),
                   "BFP round-trip spans must match");
     ANDA_CHECK_GE(params.group_size, 1);
+    ANDA_CHECK(params.mantissa_bits >= 1 && params.mantissa_bits < 32,
+               "BFP mantissa length out of range");
+    // decode_bfp_group(encode_bfp_group(...)) without materializing the
+    // group: each value is converted to FP16 once into fixed scratch
+    // (the heap only for groups above 64), and the mantissa, scale and
+    // sign expressions are the encoder's and decoder's.
     const std::size_t gs = static_cast<std::size_t>(params.group_size);
+    const int m = params.mantissa_bits;
+    std::array<Fp16, 64> fixed;
+    std::vector<Fp16> heap;
+    Fp16 *halves = fixed.data();
+    if (gs > fixed.size()) {
+        heap.resize(gs);
+        halves = heap.data();
+    }
     for (std::size_t base = 0; base < input.size(); base += gs) {
         const std::size_t len = std::min(gs, input.size() - base);
-        const BfpGroup group =
-            encode_bfp_group(input.subspan(base, len), params);
-        const float scale =
-            bfp_group_scale(group.shared_exponent, params.mantissa_bits);
+        // Zeros need no special case: their effective exponent (1)
+        // never raises the shared one and their significand is 0.
+        int max_exp = 1;
         for (std::size_t i = 0; i < len; ++i) {
-            const BfpElement &e = group.elems[i];
-            const float mag = static_cast<float>(e.mantissa) * scale;
-            output[base + i] = e.sign ? -mag : mag;
+            halves[i] = Fp16(input[base + i]);
+            max_exp = std::max(max_exp, effective_exponent(halves[i]));
+        }
+        const float scale = bfp_group_scale(max_exp, m);
+        for (std::size_t i = 0; i < len; ++i) {
+            const Fp16 h = halves[i];
+            // total_shift <= 40 and significands are 11 bits, so a
+            // 64-bit shift flushes total_shift >= 32 to 0 as the
+            // encoder does.
+            const int total_shift =
+                max_exp - effective_exponent(h) +
+                (Fp16::kMantissaBits + 1 - m);
+            const std::uint64_t sig =
+                static_cast<std::uint64_t>(h.significand())
+                << std::max(-total_shift, 0);
+            const auto mantissa = static_cast<std::uint32_t>(
+                sig >> std::max(total_shift, 0));
+            output[base + i] =
+                bfp_apply_sign(static_cast<float>(mantissa) * scale,
+                               static_cast<std::uint32_t>(h.sign()));
         }
     }
 }

@@ -10,6 +10,7 @@
 /// bits below the FP16 LSB so that small exponent distances stay lossless
 /// (this is how FIGNA/iFPU-style "extended mantissa" formats are modeled).
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -69,6 +70,16 @@ std::vector<float> bfp_roundtrip(std::span<const float> input,
 /// Returns the scale 2^(shared_exponent - 14 - mantissa_bits) that maps
 /// integer mantissas of a group to real values.
 float bfp_group_scale(int shared_exponent, int mantissa_bits);
+
+/// `mag` negated when `neg` is 1: bit-identical to `neg ? -mag : mag`
+/// (IEEE negation flips only the sign bit), without a data-dependent
+/// branch. The decoders' sign step.
+inline float
+bfp_apply_sign(float mag, std::uint32_t neg)
+{
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(mag) ^
+                                (neg << 31));
+}
 
 /// Storage bits per element for a BFP configuration (sign + mantissa +
 /// the group's amortized exponent byte), matching the paper's element

@@ -19,14 +19,15 @@ namespace {
 inline int
 effective_exponent(Fp16 h)
 {
-    const int e = h.biased_exponent();
-    return e == 0 ? 1 : e;
+    return std::max(h.biased_exponent(), 1);
 }
 
 /// Quantizes one group: shared max effective exponent, significands
 /// aligned by their exponent distance and cut to `m` bits — truncated
 /// (the hardware path) or rounded to nearest with saturation at the
 /// mantissa ceiling. Each value is converted to FP16 once, into `h`.
+/// Zeros need no special case: their effective exponent (1) never
+/// raises the shared one and their significand (0) quantizes to 0.
 /// Returns the shared biased exponent.
 std::uint8_t
 quantize_group(std::span<const float> vals, int m, bool round_nearest,
@@ -35,46 +36,28 @@ quantize_group(std::span<const float> vals, int m, bool round_nearest,
     int max_exp = 1;
     for (std::size_t i = 0; i < vals.size(); ++i) {
         h[i] = Fp16(vals[i]);
-        if (!h[i].is_zero()) {
-            max_exp = std::max(max_exp, effective_exponent(h[i]));
-        }
+        max_exp = std::max(max_exp, effective_exponent(h[i]));
     }
+    const std::uint64_t ceiling = (std::uint64_t{1} << m) - 1;
     for (std::size_t i = 0; i < vals.size(); ++i) {
         sign[i] = static_cast<std::uint8_t>(h[i].sign());
-        if (h[i].is_zero()) {
-            mant[i] = 0;
-            continue;
-        }
         const int dist = max_exp - effective_exponent(h[i]);
+        // Right shift aligning the 11-bit significand to m bits; a
+        // negative shift is headroom (m > 11 - dist), a lossless left
+        // shift. Round-to-nearest adds half of the dropped range.
         const int ts = dist + (Fp16::kMantissaBits + 1 - m);
+        const int rs = std::max(ts, 0);
         const std::uint64_t sig =
-            static_cast<std::uint64_t>(h[i].significand());
-        std::uint64_t q;
-        if (ts <= 0) {
-            // Headroom bits (m > 11 - dist): lossless left shift.
-            q = sig << (-ts);
-        } else if (round_nearest) {
-            q = (sig + (std::uint64_t{1} << (ts - 1))) >> ts;
-        } else {
-            q = sig >> ts;
-        }
-        const std::uint64_t ceiling =
-            (std::uint64_t{1} << m) - 1;
+            static_cast<std::uint64_t>(h[i].significand())
+            << std::max(-ts, 0);
+        const std::uint64_t half =
+            round_nearest ? (std::uint64_t{1} << rs) >> 1 : 0;
+        const std::uint64_t q = (sig + half) >> rs;
         mant[i] = static_cast<std::uint32_t>(std::min(q, ceiling));
         ANDA_DCHECK(round_nearest || q <= ceiling,
                     "truncated KV mantissa overflows its bit budget");
     }
     return static_cast<std::uint8_t>(max_exp);
-}
-
-/// `mag` with its sign bit set when `neg` is 1: bit-identical to
-/// `neg ? -mag : mag` (IEEE negation flips only the sign bit) without
-/// a data-dependent branch.
-inline float
-apply_sign(float mag, std::uint32_t neg)
-{
-    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(mag) ^
-                                (neg << 31));
 }
 
 inline void
@@ -174,37 +157,34 @@ constexpr std::uint64_t kLaneLsb = 0x0101010101010101ull;
 /// carries into the top byte.
 constexpr std::uint64_t kLaneGather = 0x0102040810204080ull;
 
-/// Plane -> lane transpose of one Anda group: mant[i] = sum over
-/// planes p of bit i of planes[p] << (m - 1 - p) (plane 0 is the
-/// mantissa MSB). Each 64-bit word holds 8 members in byte lanes; a
-/// lane takes at most 8 plane bits, so the low 8 mantissa bits and
-/// the (m - 8) high bits are shifted in as two separate lane words
-/// and reassembled exactly. Fixed work per group, no data-dependent
+/// Plane -> lane transpose of one Anda group: member i's mantissa
+/// (the sum over planes p of bit i of planes[p] << (m - 1 - p); plane
+/// 0 is the MSB) comes back as lo[i] | hi[i] << 8. Each 64-bit word
+/// holds 8 members in byte lanes; a lane takes at most 8 plane bits,
+/// so the low 8 mantissa bits and the (m - 8) high bits are shifted in
+/// as two separate lane words. Fixed work per group, no data-dependent
 /// branch.
 void
-anda_planes_to_mantissas(const std::uint64_t *planes, int m,
-                         std::uint32_t *mant)
+anda_planes_to_lanes(const std::uint64_t *planes, int m,
+                     std::uint8_t *lo, std::uint8_t *hi)
 {
     const int hi_planes = std::max(0, m - 8);
     for (int k = 0; k < 8; ++k) {
         const int sh = 8 * k;
-        std::uint64_t hi = 0;
+        std::uint64_t hw = 0;
         for (int p = 0; p < hi_planes; ++p) {
-            hi = (hi << 1) | kByteSpread[(planes[p] >> sh) & 0xff];
+            hw = (hw << 1) | kByteSpread[(planes[p] >> sh) & 0xff];
         }
-        std::uint64_t lo = 0;
+        std::uint64_t lw = 0;
         for (int p = hi_planes; p < m; ++p) {
-            lo = (lo << 1) | kByteSpread[(planes[p] >> sh) & 0xff];
+            lw = (lw << 1) | kByteSpread[(planes[p] >> sh) & 0xff];
         }
-        for (int j = 0; j < 8; ++j) {
-            mant[8 * k + j] = static_cast<std::uint32_t>(
-                (((hi >> (8 * j)) & 0xff) << 8) |
-                ((lo >> (8 * j)) & 0xff));
-        }
+        store_u64_le(lw, reinterpret_cast<std::byte *>(lo + sh));
+        store_u64_le(hw, reinterpret_cast<std::byte *>(hi + sh));
     }
 }
 
-/// Lane -> plane transpose, the inverse of anda_planes_to_mantissas:
+/// Lane -> plane transpose, the inverse of anda_planes_to_lanes:
 /// bit b of mant[i] becomes bit i of plane 1 + (m - 1 - b) and sign[i]
 /// bit i of plane 0. Members are taken 8 at a time into byte lanes
 /// (low and high mantissa bytes separately), and each plane byte is
@@ -341,7 +321,7 @@ unpack_bfp(const KvFormat &fmt, std::span<const std::byte> in,
                 nbits -= w;
                 const float mag =
                     static_cast<float>(field >> 1) * scale;
-                out[base + i] = apply_sign(
+                out[base + i] = bfp_apply_sign(
                     mag, static_cast<std::uint32_t>(field & 1));
             }
         }
@@ -412,8 +392,8 @@ unpack_anda(const KvFormat &fmt, std::span<const std::byte> in,
         const float scale = bfp_group_scale(exp, m);
         const std::byte *body = in.data() + off + 1;
         const std::uint64_t sign_plane = load_u64_le(body);
-        std::uint32_t mant[gs] = {};
         if (serial) {
+            std::uint32_t mant[gs] = {};
             for (std::size_t i = 0; i < len; ++i) {
                 for (int p = 0; p < m; ++p) {
                     const std::uint64_t plane =
@@ -423,19 +403,30 @@ unpack_anda(const KvFormat &fmt, std::span<const std::byte> in,
                                   (plane >> i) & 1);
                 }
             }
+            for (std::size_t i = 0; i < len; ++i) {
+                const float mag = static_cast<float>(mant[i]) * scale;
+                out[base + i] = ((sign_plane >> i) & 1) ? -mag : mag;
+            }
         } else {
             std::uint64_t planes[kAndaMaxMantissa];
             for (int p = 0; p < m; ++p) {
                 planes[p] = load_u64_le(body + 8 * (1 + p));
             }
-            anda_planes_to_mantissas(planes, m, mant);
-        }
-        for (std::size_t i = 0; i < len; ++i) {
-            const float mag = static_cast<float>(mant[i]) * scale;
-            const auto neg =
-                static_cast<std::uint32_t>((sign_plane >> i) & 1);
-            out[base + i] =
-                serial ? (neg ? -mag : mag) : apply_sign(mag, neg);
+            std::uint8_t lo[gs];
+            std::uint8_t hi[gs];
+            std::uint8_t neg[gs];
+            anda_planes_to_lanes(planes, m, lo, hi);
+            for (int k = 0; k < 8; ++k) {
+                store_u64_le(kByteSpread[(sign_plane >> (8 * k)) & 0xff],
+                             reinterpret_cast<std::byte *>(neg + 8 * k));
+            }
+            // Mantissas are below 2^16: exact through int32 -> float.
+            for (std::size_t i = 0; i < len; ++i) {
+                const auto mant = static_cast<std::int32_t>(
+                    (static_cast<std::uint32_t>(hi[i]) << 8) | lo[i]);
+                out[base + i] = bfp_apply_sign(
+                    static_cast<float>(mant) * scale, neg[i]);
+            }
         }
         off += anda_group_bytes(m);
     }

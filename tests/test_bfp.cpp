@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -92,6 +95,52 @@ TEST(Bfp, DecodeMatchesRoundtrip)
     ASSERT_EQ(direct.size(), rt.size());
     for (std::size_t i = 0; i < rt.size(); ++i) {
         EXPECT_EQ(direct[i], rt[i]);
+    }
+}
+
+TEST(Bfp, RoundtripBitEqualsEncodeDecode)
+{
+    // bfp_roundtrip skips materializing BfpGroup; every output must
+    // still be bit-equal to decode_bfp_group(encode_bfp_group(...)),
+    // across group sizes (with trailing partial groups), mantissa
+    // lengths with and without headroom, and zeros of both signs,
+    // subnormals, FP16 overflow and ordinary magnitudes.
+    SplitMix64 rng(12);
+    std::vector<float> vals(300);
+    for (auto &v : vals) {
+        switch (rng.uniform_index(6)) {
+        case 0:
+            v = rng.uniform() < 0.5 ? 0.0f : -0.0f;
+            break;
+        case 1:
+            v = static_cast<float>(rng.normal(0.0, 3e-6));
+            break;
+        case 2:
+            v = static_cast<float>(rng.normal(0.0, 1e5));
+            break;
+        default:
+            v = static_cast<float>(rng.normal(0.0, 3.0));
+            break;
+        }
+    }
+    for (const int gs : {1, 3, 16, 64, 100, 128}) {
+        for (const int m : {1, 4, 7, 8, 11, 16, 24, 31}) {
+            const BfpParams p{gs, m};
+            const auto rt = bfp_roundtrip(vals, p);
+            for (std::size_t base = 0; base < vals.size();
+                 base += static_cast<std::size_t>(gs)) {
+                const std::size_t len = std::min<std::size_t>(
+                    static_cast<std::size_t>(gs), vals.size() - base);
+                const auto dec = decode_bfp_group(
+                    encode_bfp_group({vals.data() + base, len}, p), p);
+                for (std::size_t i = 0; i < len; ++i) {
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(rt[base + i]),
+                              std::bit_cast<std::uint32_t>(dec[i]))
+                        << "gs=" << gs << " m=" << m
+                        << " i=" << base + i;
+                }
+            }
+        }
     }
 }
 

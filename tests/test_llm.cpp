@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
+#include "common/rng.h"
 #include "llm/corpus.h"
 #include "llm/ops.h"
 #include "llm/transformer.h"
@@ -77,6 +81,115 @@ TEST(Ops, RopePreservesNorm)
     rope_inplace(h0, 0);
     EXPECT_FLOAT_EQ(h0[0], 1.0f);
     EXPECT_FLOAT_EQ(h0[3], 4.0f);
+}
+
+TEST(Ops, RopeTableMatchesRopeInplace)
+{
+    // The cached rotations are rope_inplace's, bit for bit, at every
+    // tabulated position.
+    constexpr std::size_t kDim = 32;
+    constexpr std::size_t kMaxPos = 128;
+    const RopeTable table(kDim, kMaxPos);
+    SplitMix64 rng(5);
+    for (std::size_t pos = 0; pos < kMaxPos; ++pos) {
+        std::vector<float> a(kDim);
+        for (float &v : a) {
+            v = static_cast<float>(rng.normal(0.0, 2.0));
+        }
+        std::vector<float> b = a;
+        rope_inplace(a, static_cast<int>(pos));
+        table.apply(b, pos);
+        ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * kDim), 0)
+            << "pos=" << pos;
+    }
+}
+
+TEST(Ops, AttentionViewMatchesCopiedHeads)
+{
+    // causal_attention_view over heads sliced in place from cached
+    // rows must equal causal_attention_head over the copied heads, for
+    // an FP32 cache (rows read in place) and a quantized one (rows
+    // unpacked), short and long prefixes, and queries that continue a
+    // cached prefix (q_offset > 0).
+    constexpr std::size_t kD = 128;
+    constexpr std::size_t kHeads = 4;
+    constexpr std::size_t kHd = kD / kHeads;
+    constexpr std::size_t kQueries = 3;
+    SplitMix64 rng(17);
+    for (const KvFormat &fmt : {KvFormat::fp32(), KvFormat::anda(7)}) {
+        for (const std::size_t kv_len : {1u, 17u, 64u, 128u}) {
+            KvCache cache(1, kD, 128, fmt);
+            cache.reserve(kv_len);
+            std::vector<float> row(kD);
+            for (std::size_t t = 0; t < kv_len; ++t) {
+                for (float &v : row) {
+                    v = static_cast<float>(rng.normal(0.0, 1.5));
+                }
+                cache.store_k(0, t, row);
+                for (float &v : row) {
+                    v = static_cast<float>(rng.normal(0.0, 1.5));
+                }
+                cache.store_v(0, t, row);
+            }
+            const std::size_t n_q = std::min(kQueries, kv_len);
+            const std::size_t q_offset = kv_len - n_q;
+            Matrix q(n_q, kD);
+            for (float &v : q.flat()) {
+                v = static_cast<float>(rng.normal(0.0, 1.0));
+            }
+            // Whole cached rows, as run_block resolves them.
+            Matrix kfull(kv_len, kD);
+            Matrix vfull(kv_len, kD);
+            std::vector<const float *> krows(kv_len);
+            std::vector<const float *> vrows(kv_len);
+            for (std::size_t t = 0; t < kv_len; ++t) {
+                if (fmt.quantized()) {
+                    cache.load_k(0, t, kfull.row(t));
+                    cache.load_v(0, t, vfull.row(t));
+                    krows[t] = kfull.row(t).data();
+                    vrows[t] = vfull.row(t).data();
+                } else {
+                    krows[t] = cache.k_row(0, t).data();
+                    vrows[t] = cache.v_row(0, t).data();
+                }
+            }
+            Matrix ctx(n_q, kD);
+            std::vector<const float *> qrows(n_q);
+            std::vector<float *> orows(n_q);
+            for (std::size_t i = 0; i < n_q; ++i) {
+                qrows[i] = q.row(i).data();
+                orows[i] = ctx.row(i).data();
+            }
+            std::vector<float> scratch;
+            for (std::size_t h = 0; h < kHeads; ++h) {
+                causal_attention_view(qrows, krows, vrows, orows, h * kHd,
+                                      kHd, q_offset, scratch);
+                Matrix qh(n_q, kHd);
+                Matrix kh(kv_len, kHd);
+                Matrix vh(kv_len, kHd);
+                Matrix oh(n_q, kHd);
+                for (std::size_t i = 0; i < n_q; ++i) {
+                    std::copy_n(qrows[i] + h * kHd, kHd, qh.row(i).data());
+                }
+                for (std::size_t t = 0; t < kv_len; ++t) {
+                    std::copy_n(krows[t] + h * kHd, kHd, kh.row(t).data());
+                    std::copy_n(vrows[t] + h * kHd, kHd, vh.row(t).data());
+                }
+                causal_attention_head(qh, kh, vh, kv_len, q_offset, oh);
+                for (std::size_t i = 0; i < n_q; ++i) {
+                    for (std::size_t c = 0; c < kHd; ++c) {
+                        ASSERT_EQ(
+                            std::bit_cast<std::uint32_t>(
+                                ctx(i, h * kHd + c)),
+                            std::bit_cast<std::uint32_t>(oh(i, c)))
+                            << fmt.name() << " kv_len=" << kv_len
+                            << " head=" << h << " at (" << i << ", " << c
+                            << ")";
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Ops, LogProbMatchesManualSoftmax)
