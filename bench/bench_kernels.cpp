@@ -111,6 +111,7 @@ BM_KvPackRow(benchmark::State &state)
                         r * kKvRowLen, kKvRowLen),
                     out);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
         r = (r + 1) % kKvRows;
     }
     state.SetItemsProcessed(state.iterations());
@@ -139,6 +140,7 @@ BM_KvUnpackRow(benchmark::State &state)
                           r * bytes, bytes),
                       out);
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
         r = (r + 1) % kKvRows;
     }
     state.SetItemsProcessed(state.iterations());

@@ -408,13 +408,13 @@ unpack_anda(const KvFormat &fmt, std::span<const std::byte> in,
                 out[base + i] = ((sign_plane >> i) & 1) ? -mag : mag;
             }
         } else {
-            std::uint64_t planes[kAndaMaxMantissa];
+            std::uint64_t planes[kAndaMaxMantissa] = {};
             for (int p = 0; p < m; ++p) {
                 planes[p] = load_u64_le(body + 8 * (1 + p));
             }
-            std::uint8_t lo[gs];
-            std::uint8_t hi[gs];
-            std::uint8_t neg[gs];
+            std::uint8_t lo[gs] = {};
+            std::uint8_t hi[gs] = {};
+            std::uint8_t neg[gs] = {};
             anda_planes_to_lanes(planes, m, lo, hi);
             for (int k = 0; k < 8; ++k) {
                 store_u64_le(kByteSpread[(sign_plane >> (8 * k)) & 0xff],

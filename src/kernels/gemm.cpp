@@ -51,7 +51,7 @@ using Vec4 = float __attribute__((vector_size(16)));
 inline Vec4
 load4(const float *p)
 {
-    Vec4 v;
+    Vec4 v = {};
     std::memcpy(&v, p, sizeof v);
     return v;
 }
@@ -77,7 +77,7 @@ dot_f32_x4(const float *a, const float *const w[4], std::size_t n,
             }
         }
     }
-    float lanes[4][16];
+    float lanes[4][16] = {};
     std::memcpy(lanes, acc, sizeof lanes);
     float s[4] = {};
     for (std::size_t l = 0; l < 16; ++l) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -226,6 +227,51 @@ TEST(KvFormat, RoundNearestNeverWorseThanTruncation)
             ASSERT_LE(std::abs(near[i] - h),
                       std::abs(trunc[i] - h) + 1e-30f)
                 << "m=" << m << " i=" << i;
+        }
+    }
+}
+
+TEST(KvFormat, QuantizationMatchesScaledReference)
+{
+    // Independent of the shift arithmetic in the packer: with the
+    // group's shared exponent E and scale 2^(E - 14 - m), each FP16
+    // magnitude |h| / scale is exact in double, truncation keeps its
+    // floor and round-to-nearest floor(x + 1/2), saturated at 2^m - 1.
+    SplitMix64 rng(77);
+    std::vector<KvFormat> fmts;
+    for (const bool rn : {false, true}) {
+        for (const int m : {1, 4, 7, 8, 9, 11, 16}) {
+            fmts.push_back(KvFormat::anda(m, rn));
+            fmts.push_back(KvFormat::bfp(3, m, rn));
+            fmts.push_back(KvFormat::bfp(100, m, rn));
+        }
+    }
+    for (const KvFormat &fmt : fmts) {
+        const std::vector<float> row = random_row(rng, 200);
+        const std::vector<float> back = kv_roundtrip(fmt, row);
+        const auto gs = static_cast<std::size_t>(fmt.group_size);
+        const double ceiling = std::ldexp(1.0, fmt.mantissa_bits) - 1.0;
+        for (std::size_t base = 0; base < row.size(); base += gs) {
+            const std::size_t len = std::min(gs, row.size() - base);
+            int shared = 1;
+            for (std::size_t i = 0; i < len; ++i) {
+                shared = std::max(shared,
+                                  Fp16(row[base + i]).biased_exponent());
+            }
+            const double scale =
+                std::ldexp(1.0, shared - 14 - fmt.mantissa_bits);
+            for (std::size_t i = base; i < base + len; ++i) {
+                const double x =
+                    std::abs(static_cast<double>(Fp16(row[i]).to_float())) /
+                    scale;
+                const double q = std::min(
+                    std::floor(fmt.round_nearest ? x + 0.5 : x), ceiling);
+                const double want = std::signbit(Fp16(row[i]).to_float())
+                                        ? -q * scale
+                                        : q * scale;
+                ASSERT_EQ(static_cast<double>(back[i]), want)
+                    << fmt.name() << " i=" << i;
+            }
         }
     }
 }
