@@ -44,6 +44,8 @@ dot_f32(const float *a, const float *b, std::size_t n)
 
 namespace {
 
+#if defined(__GNUC__)  // GCC and Clang
+
 /// Four float lanes (GCC/Clang vector extension; lowers to SSE on
 /// x86-64 and to scalar code where there is no SIMD unit).
 using Vec4 = float __attribute__((vector_size(16)));
@@ -92,6 +94,20 @@ dot_f32_x4(const float *a, const float *const w[4], std::size_t n,
         out[o] = s[o];
     }
 }
+
+#else
+
+/// Compilers without GCC vector extensions: four plain dot_f32 calls.
+void
+dot_f32_x4(const float *a, const float *const w[4], std::size_t n,
+           float out[4])
+{
+    for (std::size_t o = 0; o < 4; ++o) {
+        out[o] = dot_f32(a, w[o], n);
+    }
+}
+
+#endif
 
 }  // namespace
 

@@ -198,30 +198,7 @@ causal_attention_view(std::span<const float *const> q,
         const std::size_t visible =
             std::min(kv_len, q_offset + i + 1);
         const float *qi = q[i] + col;
-        // Four keys per pass over the query: independent serial sums,
-        // each in causal_attention_head's order.
-        std::size_t j = 0;
-        for (; j + 4 <= visible; j += 4) {
-            const float *k0 = k[j] + col;
-            const float *k1 = k[j + 1] + col;
-            const float *k2 = k[j + 2] + col;
-            const float *k3 = k[j + 3] + col;
-            float s0 = 0.0f;
-            float s1 = 0.0f;
-            float s2 = 0.0f;
-            float s3 = 0.0f;
-            for (std::size_t c = 0; c < head_dim; ++c) {
-                s0 += qi[c] * k0[c];
-                s1 += qi[c] * k1[c];
-                s2 += qi[c] * k2[c];
-                s3 += qi[c] * k3[c];
-            }
-            scores[j] = s0 * scale;
-            scores[j + 1] = s1 * scale;
-            scores[j + 2] = s2 * scale;
-            scores[j + 3] = s3 * scale;
-        }
-        for (; j < visible; ++j) {
+        for (std::size_t j = 0; j < visible; ++j) {
             const float *kj = k[j] + col;
             float s = 0.0f;
             for (std::size_t c = 0; c < head_dim; ++c) {
@@ -233,7 +210,7 @@ causal_attention_view(std::span<const float *const> q,
         // Each output column sums scores[j] * v[j] over j in order, as
         // the reference does, but row by row over contiguous V.
         std::fill(acc, acc + head_dim, 0.0f);
-        for (j = 0; j < visible; ++j) {
+        for (std::size_t j = 0; j < visible; ++j) {
             const float p = scores[j];
             const float *vj = v[j] + col;
             for (std::size_t c = 0; c < head_dim; ++c) {
