@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -415,6 +417,92 @@ TEST(PagedKvCacheQuantized, MatchesSlabAndSwapsPacked)
             child.load_k(l, r, b);
             ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
         }
+    }
+}
+
+/// FNV-1a over raw bytes.
+std::uint64_t
+fnv_bytes(std::span<const std::byte> bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::byte b : bytes) {
+        h ^= std::to_integer<std::uint64_t>(b);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(KvStoreBytes, SwapBufferAndGrownSlabArePinned)
+{
+    // Pins the stored bytes, not only round trips: the swap_out()
+    // buffer's layout (layer-major, K then V per row) after prefix
+    // adoption plus a copy-on-extend past the shared tail page, and
+    // the rows a slab cache hands back after two reallocations.
+    struct Golden {
+        KvFormat fmt;
+        std::uint64_t swap_fnv;
+        std::uint64_t slab_fnv;
+    };
+    const Golden goldens[] = {
+        {KvFormat::fp32(), 0xe0dc8912274b7daaull, 0x6819ceafe7613320ull},
+        {KvFormat::anda(7), 0x140167f32164165aull, 0xc55a471678d873a2ull},
+        {KvFormat::bfp(32, 8, true), 0x3a9140392dce6942ull,
+         0x0744af5d43dd36bbull},
+    };
+    const std::size_t d = 80;
+    const std::size_t layers = 2;
+    for (const Golden &g : goldens) {
+        SplitMix64 rng(1515);
+        KvPagePool pool(layers, d, 64, 4, 16, true, g.fmt);
+        PagedKvCache donor(pool);
+        donor.reserve(10);
+        donor.advance(10);
+        for (std::size_t l = 0; l < layers; ++l) {
+            for (std::size_t r = 0; r < 10; ++r) {
+                donor.store_k(l, r, random_row(rng, d));
+                donor.store_v(l, r, random_row(rng, d));
+            }
+        }
+        PagedKvCache child(pool);
+        child.adopt_prefix(donor, 10);  // Shares a half-full tail page.
+        child.reserve(14);              // Copy-on-extend.
+        child.advance(4);
+        for (std::size_t l = 0; l < layers; ++l) {
+            for (std::size_t r = 10; r < 14; ++r) {
+                child.store_k(l, r, random_row(rng, d));
+                child.store_v(l, r, random_row(rng, d));
+            }
+        }
+        const std::vector<std::byte> swapped = child.swap_out();
+        ASSERT_EQ(swapped.size(),
+                  2 * layers * 14 * kv_row_bytes(g.fmt, d));
+        EXPECT_EQ(fnv_bytes(swapped), g.swap_fnv) << g.fmt.name();
+
+        KvCache slab(layers, d, 64, g.fmt);
+        std::size_t reallocs = 0;
+        for (std::size_t r = 0; r < 40; ++r) {
+            const std::size_t cap = slab.capacity();
+            slab.reserve(r + 1);
+            reallocs += slab.capacity() != cap ? 1 : 0;
+            for (std::size_t l = 0; l < layers; ++l) {
+                slab.store_k(l, r, random_row(rng, d));
+                slab.store_v(l, r, random_row(rng, d));
+            }
+            slab.advance(1);
+        }
+        EXPECT_GE(reallocs, 3u);  // The first allocation plus two.
+        std::vector<float> loaded(2 * layers * 40 * d);
+        float *out = loaded.data();
+        for (std::size_t l = 0; l < layers; ++l) {
+            for (std::size_t r = 0; r < 40; ++r) {
+                slab.load_k(l, r, {out, d});
+                slab.load_v(l, r, {out + d, d});
+                out += 2 * d;
+            }
+        }
+        EXPECT_EQ(fnv_bytes(std::as_bytes(std::span(loaded))),
+                  g.slab_fnv)
+            << g.fmt.name();
     }
 }
 
