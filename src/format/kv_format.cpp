@@ -438,11 +438,14 @@ pack_row(const KvFormat &fmt, std::span<const float> row,
 {
     ANDA_DCHECK_EQ(out.size(), kv_row_bytes(fmt, row.size()),
                    "packed KV row span size mismatch");
-    std::fill(out.begin(), out.end(), std::byte{0});
+    if (fmt.quantized()) {
+        // Fields and planes are OR-ed into a zeroed row.
+        std::fill(out.begin(), out.end(), std::byte{0});
+    }
     switch (fmt.kind) {
     case KvKind::kFp32:
-        // Raw float bytes — no FP16 rounding, so an FP32 cache stores
-        // exactly what the legacy float storage did.
+        // Raw float bytes, no FP16 rounding: an FP32 row is stored
+        // exactly.
         std::memcpy(out.data(), row.data(), 4 * row.size());
         break;
     case KvKind::kBfp:

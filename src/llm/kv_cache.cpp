@@ -15,190 +15,99 @@ constexpr std::size_t kMinCapacity = 16;
 
 }  // namespace
 
+KvRows::KvRows(std::size_t n_layers, std::size_t d_model, KvFormat fmt,
+               std::size_t rows)
+    : d_model_(d_model),
+      fmt_(fmt),
+      row_bytes_(kv_row_bytes(fmt, d_model)),
+      layers_(n_layers)
+{
+    kv_validate(fmt_);
+    resize(rows);
+}
+
+void
+KvRows::resize(std::size_t rows)
+{
+    // Whole floats per layer, rounded up: a quantized record need not
+    // be a multiple of four bytes.
+    const std::size_t floats = (2 * rows * row_bytes_ + 3) / 4;
+    for (std::vector<float> &layer : layers_) {
+        layer.resize(floats);
+    }
+    rows_ = rows;
+}
+
+void
+KvRows::store(Tensor t, std::size_t layer, std::size_t row,
+              std::span<const float> in)
+{
+    kv_pack_row(fmt_, in, records(layer, row).subspan(t * row_bytes_,
+                                                      row_bytes_));
+}
+
+void
+KvRows::load(Tensor t, std::size_t layer, std::size_t row,
+             std::span<float> out) const
+{
+    kv_unpack_row(fmt_, records(layer, row).subspan(t * row_bytes_,
+                                                    row_bytes_),
+                  out);
+}
+
+std::span<const float>
+KvRows::float_row(Tensor t, std::size_t layer, std::size_t row) const
+{
+    ANDA_CHECK(!fmt_.quantized(), "KvRows: float view of a quantized row");
+    ANDA_DCHECK_LT(row, rows_, "KvRows: row out of range");
+    // An FP32 record is 2 * d_model floats, K then V.
+    return {layers_[layer].data() + (2 * row + t) * d_model_, d_model_};
+}
+
+std::span<std::byte>
+KvRows::records(std::size_t layer, std::size_t row, std::size_t n)
+{
+    ANDA_DCHECK_LE(row + n, rows_, "KvRows: records out of range");
+    return {reinterpret_cast<std::byte *>(layers_[layer].data()) +
+                2 * row * row_bytes_,
+            2 * n * row_bytes_};
+}
+
+std::span<const std::byte>
+KvRows::records(std::size_t layer, std::size_t row, std::size_t n) const
+{
+    ANDA_DCHECK_LE(row + n, rows_, "KvRows: records out of range");
+    return {reinterpret_cast<const std::byte *>(layers_[layer].data()) +
+                2 * row * row_bytes_,
+            2 * n * row_bytes_};
+}
+
 KvCache::KvCache(std::size_t n_layers, std::size_t d_model,
                  std::size_t max_seq, KvFormat fmt)
-    : n_layers_(n_layers),
-      d_model_(d_model),
-      max_seq_(max_seq),
-      fmt_(fmt),
-      row_bytes_(kv_row_bytes(fmt, d_model))
+    : max_seq_(max_seq), rows_(n_layers, d_model, fmt)
 {
     ANDA_CHECK(n_layers > 0 && d_model > 0 && max_seq > 0,
                "degenerate KvCache dimensions");
-    kv_validate(fmt_);
-    if (fmt_.quantized()) {
-        kq_.resize(n_layers_);
-        vq_.resize(n_layers_);
-    } else {
-        k_.resize(n_layers_);
-        v_.resize(n_layers_);
-    }
 }
 
 void
 KvCache::reserve(std::size_t rows)
 {
     ANDA_CHECK_LE(rows, max_seq_, "KvCache: sequence exceeds max_seq");
-    if (rows <= capacity_) {
+    if (rows <= capacity()) {
         return;
     }
     const std::size_t grown =
-        std::max({rows, 2 * capacity_, kMinCapacity});
-    const std::size_t new_cap = std::min(grown, max_seq_);
-    ANDA_DCHECK_GE(new_cap, rows);
-    if (fmt_.quantized()) {
-        // Packed rows are fixed-width, so a resize preserves the
-        // committed prefix in place.
-        for (std::size_t l = 0; l < n_layers_; ++l) {
-            kq_[l].resize(new_cap * row_bytes_);
-            vq_[l].resize(new_cap * row_bytes_);
-        }
-    } else {
-        for (std::size_t l = 0; l < n_layers_; ++l) {
-            Matrix nk(new_cap, d_model_);
-            Matrix nv(new_cap, d_model_);
-            for (std::size_t r = 0; r < length_; ++r) {
-                const auto ks = k_[l].row(r);
-                const auto vs = v_[l].row(r);
-                std::copy(ks.begin(), ks.end(), nk.row(r).begin());
-                std::copy(vs.begin(), vs.end(), nv.row(r).begin());
-            }
-            k_[l] = std::move(nk);
-            v_[l] = std::move(nv);
-        }
-    }
-    capacity_ = new_cap;
+        std::max({rows, 2 * capacity(), kMinCapacity});
+    rows_.resize(std::min(grown, max_seq_));
 }
 
 void
 KvCache::advance(std::size_t n)
 {
-    ANDA_CHECK_LE(length_ + n, capacity_,
+    ANDA_CHECK_LE(length_ + n, capacity(),
                   "KvCache: advance past allocated capacity");
     length_ += n;
-}
-
-void
-KvCache::release()
-{
-    length_ = 0;
-    capacity_ = 0;
-    for (std::size_t l = 0; l < k_.size(); ++l) {
-        k_[l] = Matrix();
-        v_[l] = Matrix();
-    }
-    for (std::size_t l = 0; l < kq_.size(); ++l) {
-        kq_[l].clear();
-        kq_[l].shrink_to_fit();
-        vq_[l].clear();
-        vq_[l].shrink_to_fit();
-    }
-}
-
-void
-KvCache::store_k(std::size_t layer, std::size_t pos,
-                 std::span<const float> row)
-{
-    ANDA_DCHECK_EQ(row.size(), d_model_, "KvCache: bad K row width");
-    if (fmt_.quantized()) {
-        kv_pack_row(fmt_, row,
-                    std::span<std::byte>(
-                        kq_[layer].data() + pos * row_bytes_,
-                        row_bytes_));
-    } else {
-        const auto dst = k_[layer].row(pos);
-        std::copy(row.begin(), row.end(), dst.begin());
-    }
-}
-
-void
-KvCache::store_v(std::size_t layer, std::size_t pos,
-                 std::span<const float> row)
-{
-    ANDA_DCHECK_EQ(row.size(), d_model_, "KvCache: bad V row width");
-    if (fmt_.quantized()) {
-        kv_pack_row(fmt_, row,
-                    std::span<std::byte>(
-                        vq_[layer].data() + pos * row_bytes_,
-                        row_bytes_));
-    } else {
-        const auto dst = v_[layer].row(pos);
-        std::copy(row.begin(), row.end(), dst.begin());
-    }
-}
-
-void
-KvCache::load_k(std::size_t layer, std::size_t pos,
-                std::span<float> out) const
-{
-    ANDA_DCHECK_EQ(out.size(), d_model_, "KvCache: bad K row width");
-    if (fmt_.quantized()) {
-        kv_unpack_row(fmt_, packed_k_row(layer, pos), out);
-    } else {
-        const auto src = k_[layer].row(pos);
-        std::copy(src.begin(), src.end(), out.begin());
-    }
-}
-
-void
-KvCache::load_v(std::size_t layer, std::size_t pos,
-                std::span<float> out) const
-{
-    ANDA_DCHECK_EQ(out.size(), d_model_, "KvCache: bad V row width");
-    if (fmt_.quantized()) {
-        kv_unpack_row(fmt_, packed_v_row(layer, pos), out);
-    } else {
-        const auto src = v_[layer].row(pos);
-        std::copy(src.begin(), src.end(), out.begin());
-    }
-}
-
-std::span<float>
-KvCache::k_row(std::size_t layer, std::size_t pos)
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return k_[layer].row(pos);
-}
-
-std::span<float>
-KvCache::v_row(std::size_t layer, std::size_t pos)
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return v_[layer].row(pos);
-}
-
-std::span<const float>
-KvCache::k_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return k_[layer].row(pos);
-}
-
-std::span<const float>
-KvCache::v_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(!fmt_.quantized(),
-               "KvCache: float row view of a quantized cache");
-    return v_[layer].row(pos);
-}
-
-std::span<const std::byte>
-KvCache::packed_k_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(fmt_.quantized(),
-               "KvCache: packed row view of an FP32 cache");
-    return {kq_[layer].data() + pos * row_bytes_, row_bytes_};
-}
-
-std::span<const std::byte>
-KvCache::packed_v_row(std::size_t layer, std::size_t pos) const
-{
-    ANDA_CHECK(fmt_.quantized(),
-               "KvCache: packed row view of an FP32 cache");
-    return {vq_[layer].data() + pos * row_bytes_, row_bytes_};
 }
 
 void
@@ -208,16 +117,6 @@ BatchKvCache::add(KvSeq &cache)
         ANDA_CHECK(c != &cache, "BatchKvCache: duplicate cache in batch");
     }
     caches_.push_back(&cache);
-}
-
-std::size_t
-BatchKvCache::total_length() const
-{
-    std::size_t total = 0;
-    for (const KvSeq *c : caches_) {
-        total += c->length();
-    }
-    return total;
 }
 
 }  // namespace anda

@@ -3,38 +3,95 @@
 /// @file
 /// Per-sequence key/value caches for incremental decode.
 ///
-/// KvSeq is the storage-layout interface the transformer decodes
-/// against: one cached sequence exposing committed length, growth, and
-/// row-level K/V access per layer. Two layouts implement it — the slab
-/// KvCache below (one contiguous per-layer block per sequence, grown
-/// geometrically) and the paged PagedKvCache (llm/kv_pages.h; fixed
-/// pages from a shared refcounted pool, prefix sharing, preemption
-/// support). Because the transformer only ever reads and writes single
-/// rows, decode is bit-identical across layouts. A BatchKvCache is a
-/// non-owning view packing B independent sequences so one ragged decode
-/// step (one new token per sequence, heterogeneous cache lengths) can
-/// run through the same fused GeMM taps as prefill — see
-/// Transformer::decode_step.
+/// KvRows is the one row store every cache layout keeps its K/V rows
+/// in: packed rows of kv_row_bytes(fmt, d_model) bytes, whatever the
+/// KvFormat (FP32 is simply the widest one). KvSeq is the interface
+/// the transformer decodes against: one cached sequence exposing
+/// committed length, growth, and row-level K/V access per layer. Two
+/// layouts implement it — the slab KvCache below (one KvRows per
+/// sequence, grown geometrically) and the paged PagedKvCache
+/// (llm/kv_pages.h; fixed pages of a pool's shared KvRows, prefix
+/// sharing, preemption support). Because the transformer only ever
+/// reads and writes single rows, decode is bit-identical across
+/// layouts. A BatchKvCache is a non-owning view packing B independent
+/// sequences so one ragged decode step (one new token per sequence,
+/// heterogeneous cache lengths) can run through the same fused GeMM
+/// taps as prefill — see Transformer::decode_step.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "common/matrix.h"
 #include "format/kv_format.h"
 
 namespace anda {
+
+/// Packed K/V rows in one KvFormat: per layer, `rows()` records, where
+/// record r is row r's K bytes followed by its V bytes
+/// (kv_row_bytes(fmt, d_model) each). A row's whole cached state is
+/// therefore one contiguous byte run — the unit swap and
+/// copy-on-extend move. Rows are written only through kv_pack_row and
+/// read only through kv_unpack_row. The storage is float-typed and
+/// handed out as byte views, so an FP32 row's floats stay addressable
+/// in place (float_row): attention reads FP32 caches through row
+/// pointers, with no copy.
+class KvRows {
+  public:
+    /// Which tensor of a cached row.
+    enum Tensor : std::size_t { kK = 0, kV = 1 };
+
+    KvRows(std::size_t n_layers, std::size_t d_model, KvFormat fmt,
+           std::size_t rows = 0);
+
+    std::size_t n_layers() const { return layers_.size(); }
+    std::size_t d_model() const { return d_model_; }
+    const KvFormat &format() const { return fmt_; }
+    /// Packed bytes of one K or V row.
+    std::size_t row_bytes() const { return row_bytes_; }
+    /// Records per layer.
+    std::size_t rows() const { return rows_; }
+
+    /// Resizes every layer to `rows` records, preserving the leading
+    /// ones (records are fixed-width, so they stay in place).
+    void resize(std::size_t rows);
+
+    /// Packs `in` (d_model floats) into tensor `t` of record `row`.
+    void store(Tensor t, std::size_t layer, std::size_t row,
+               std::span<const float> in);
+    /// Unpacks tensor `t` of record `row` into `out` (d_model floats).
+    void load(Tensor t, std::size_t layer, std::size_t row,
+              std::span<float> out) const;
+    /// In-place float view of tensor `t` of record `row`. FP32 only:
+    /// throws anda::CheckError on a quantized format, whose rows have
+    /// no float image.
+    std::span<const float> float_row(Tensor t, std::size_t layer,
+                                     std::size_t row) const;
+
+    /// Bytes of records [row, row + n) of one layer.
+    std::span<std::byte> records(std::size_t layer, std::size_t row,
+                                 std::size_t n = 1);
+    std::span<const std::byte> records(std::size_t layer,
+                                       std::size_t row,
+                                       std::size_t n = 1) const;
+
+  private:
+    std::size_t d_model_ = 0;
+    KvFormat fmt_;
+    std::size_t row_bytes_ = 0;
+    std::size_t rows_ = 0;
+    std::vector<std::vector<float>> layers_;
+};
 
 /// One cached sequence: committed K/V rows across all layers, with
 /// row-level access so the attention gather and the append path do not
 /// depend on the physical layout (contiguous slab or paged).
 ///
-/// Rows are stored in the cache's KvFormat: store_k/store_v pack a
-/// float row at write time (quantize-on-append), load_k/load_v unpack
-/// it back to float32 (dequantize-on-attend). Because quantization
-/// happens at the single store of each row, every read — including
-/// same-step reads of freshly appended rows — observes the same
-/// values, so decode remains invariant to prefill chunking and to the
+/// Rows are stored in the cache's KvFormat: store() packs a float row
+/// at write time (quantize-on-append), load() unpacks it back to
+/// float32 (dequantize-on-attend). Because quantization happens at
+/// the single store of each row, every read — including same-step
+/// reads of freshly appended rows — observes the same values, so
+/// decode remains invariant to prefill chunking and to the
 /// slab/paged layout choice for every format, not just FP32.
 class KvSeq {
   public:
@@ -57,79 +114,60 @@ class KvSeq {
     /// std::runtime_error when the backing pool is exhausted).
     virtual void reserve(std::size_t rows) = 0;
 
-    /// Commits `n` rows appended past length() via k_row()/v_row()
-    /// writes. The rows must already fit (reserve first).
+    /// Commits `n` rows appended past length() via store(). The rows
+    /// must already fit (reserve first).
     virtual void advance(std::size_t n) = 0;
 
-    /// Packs `row` (d_model floats) into row `pos` of the layer's K/V
-    /// block in the cache's format. Rows [0, length()) are committed;
-    /// rows past length() are scratch for the step in flight (up to
-    /// the reserved capacity). In FP32 this is a plain copy, so the
-    /// legacy float path is preserved bit-for-bit.
-    virtual void store_k(std::size_t layer, std::size_t pos,
-                         std::span<const float> row) = 0;
-    virtual void store_v(std::size_t layer, std::size_t pos,
-                         std::span<const float> row) = 0;
+    /// Packs `row` (d_model floats) into row `pos` of the layer's K or
+    /// V block in the cache's format. Rows [0, length()) are
+    /// committed; rows past length() are scratch for the step in
+    /// flight (up to the reserved capacity). In FP32 this stores the
+    /// raw float bytes.
+    virtual void store(KvRows::Tensor t, std::size_t layer,
+                       std::size_t pos, std::span<const float> row) = 0;
 
     /// Unpacks row `pos` back to float32 into `out` (d_model floats) —
     /// the values attention computes on.
-    virtual void load_k(std::size_t layer, std::size_t pos,
-                        std::span<float> out) const = 0;
-    virtual void load_v(std::size_t layer, std::size_t pos,
-                        std::span<float> out) const = 0;
+    virtual void load(KvRows::Tensor t, std::size_t layer,
+                      std::size_t pos, std::span<float> out) const = 0;
 
-    /// Direct float views of row `pos` — FP32 layouts only (throws on
-    /// a quantized cache, whose rows have no in-place float image).
-    /// Quantization-agnostic callers use store_/load_ above.
-    virtual std::span<float> k_row(std::size_t layer,
-                                   std::size_t pos) = 0;
-    virtual std::span<float> v_row(std::size_t layer,
-                                   std::size_t pos) = 0;
-    virtual std::span<const float> k_row(std::size_t layer,
-                                         std::size_t pos) const = 0;
-    virtual std::span<const float> v_row(std::size_t layer,
-                                         std::size_t pos) const = 0;
+    /// In-place float view of row `pos` — FP32 caches only (throws on
+    /// a quantized cache). Quantization-agnostic callers use load().
+    virtual std::span<const float> float_row(KvRows::Tensor t,
+                                             std::size_t layer,
+                                             std::size_t pos) const = 0;
 };
 
-/// Slab layout: per-layer [capacity x d_model] K and V row blocks, of
-/// which the first length() rows are committed. Storage grows
-/// geometrically on demand from the actual prefix length (a cache
-/// never eagerly reserves max_seq rows — with max_batch concurrent
-/// sequences that would be prohibitive), and the committed length /
-/// allocated capacity are first-class accounting the serving
-/// scheduler reads as state.
+/// Slab layout: one KvRows of capacity() rows per layer, of which the
+/// first length() are committed. Storage grows geometrically on demand
+/// from the actual prefix length (a cache never eagerly reserves
+/// max_seq rows — with max_batch concurrent sequences that would be
+/// prohibitive), and the committed length / allocated capacity are
+/// first-class accounting the serving scheduler reads as state.
 class KvCache final : public KvSeq {
   public:
     /// An empty cache for a model with `n_layers` layers, head
     /// dimension summing to `d_model`, and a hard `max_seq` row bound,
-    /// storing rows in `fmt` (FP32 keeps the legacy float slabs;
-    /// quantized formats store packed bytes). Allocates nothing until
-    /// reserve() is called.
+    /// storing rows in `fmt`. Allocates nothing until reserve() is
+    /// called.
     KvCache(std::size_t n_layers, std::size_t d_model,
             std::size_t max_seq, KvFormat fmt = KvFormat::fp32());
 
-    std::size_t n_layers() const override { return n_layers_; }
-    std::size_t d_model() const override { return d_model_; }
+    std::size_t n_layers() const override { return rows_.n_layers(); }
+    std::size_t d_model() const override { return rows_.d_model(); }
     std::size_t max_seq() const override { return max_seq_; }
     std::size_t length() const override { return length_; }
-    const KvFormat &format() const override { return fmt_; }
+    const KvFormat &format() const override { return rows_.format(); }
 
     /// Allocated rows per layer (>= length()).
-    std::size_t capacity() const { return capacity_; }
-    /// Allocated floats across all layers (K and V) at the logical
-    /// d_model width — the token-capacity quantity the serving
-    /// scheduler budgets against when it counts in rows.
-    std::size_t allocated_floats() const
-    {
-        return 2 * n_layers_ * capacity_ * d_model_;
-    }
+    std::size_t capacity() const { return rows_.rows(); }
     /// Packed bytes of one K or V row in this cache's format.
-    std::size_t row_bytes() const { return row_bytes_; }
+    std::size_t row_bytes() const { return rows_.row_bytes(); }
     /// Physically allocated bytes across all layers (K and V) — what
     /// a byte budget is charged.
     std::size_t allocated_bytes() const
     {
-        return 2 * n_layers_ * capacity_ * row_bytes_;
+        return 2 * n_layers() * capacity() * row_bytes();
     }
 
     /// Growth is geometric (capacity at least doubles) so a decode
@@ -137,55 +175,27 @@ class KvCache final : public KvSeq {
     void reserve(std::size_t rows) override;
     void advance(std::size_t n) override;
 
-    /// Forgets the committed tokens; allocated storage is kept for
-    /// reuse.
-    void clear() { length_ = 0; }
-    /// Frees all storage and resets the length (slot recycling).
-    void release();
-
-    void store_k(std::size_t layer, std::size_t pos,
-                 std::span<const float> row) override;
-    void store_v(std::size_t layer, std::size_t pos,
-                 std::span<const float> row) override;
-    void load_k(std::size_t layer, std::size_t pos,
-                std::span<float> out) const override;
-    void load_v(std::size_t layer, std::size_t pos,
-                std::span<float> out) const override;
-
-    std::span<float> k_row(std::size_t layer, std::size_t pos) override;
-    std::span<float> v_row(std::size_t layer, std::size_t pos) override;
-    std::span<const float> k_row(std::size_t layer,
-                                 std::size_t pos) const override;
-    std::span<const float> v_row(std::size_t layer,
-                                 std::size_t pos) const override;
-
-    /// Raw packed bytes of one row (quantized layouts; tests).
-    std::span<const std::byte> packed_k_row(std::size_t layer,
-                                            std::size_t pos) const;
-    std::span<const std::byte> packed_v_row(std::size_t layer,
-                                            std::size_t pos) const;
-
-    /// Whole-block views of the FP32 slab layout (tests and tools).
-    Matrix &k(std::size_t layer) { return k_[layer]; }
-    Matrix &v(std::size_t layer) { return v_[layer]; }
-    const Matrix &k(std::size_t layer) const { return k_[layer]; }
-    const Matrix &v(std::size_t layer) const { return v_[layer]; }
+    void store(KvRows::Tensor t, std::size_t layer, std::size_t pos,
+               std::span<const float> row) override
+    {
+        rows_.store(t, layer, pos, row);
+    }
+    void load(KvRows::Tensor t, std::size_t layer, std::size_t pos,
+              std::span<float> out) const override
+    {
+        rows_.load(t, layer, pos, out);
+    }
+    std::span<const float> float_row(KvRows::Tensor t,
+                                     std::size_t layer,
+                                     std::size_t pos) const override
+    {
+        return rows_.float_row(t, layer, pos);
+    }
 
   private:
-    std::size_t n_layers_ = 0;
-    std::size_t d_model_ = 0;
     std::size_t max_seq_ = 0;
     std::size_t length_ = 0;
-    std::size_t capacity_ = 0;
-    KvFormat fmt_;
-    std::size_t row_bytes_ = 0;
-    /// FP32 layout: per-layer float slabs (empty when quantized).
-    std::vector<Matrix> k_;
-    std::vector<Matrix> v_;
-    /// Quantized layout: per-layer packed slabs of capacity_ rows of
-    /// row_bytes_ bytes each (empty when FP32).
-    std::vector<std::vector<std::byte>> kq_;
-    std::vector<std::vector<std::byte>> vq_;
+    KvRows rows_;
 };
 
 /// Non-owning view packing B independent per-sequence caches into one
@@ -205,10 +215,6 @@ class BatchKvCache {
 
     KvSeq &seq(std::size_t i) { return *caches_[i]; }
     const KvSeq &seq(std::size_t i) const { return *caches_[i]; }
-
-    /// Sum of committed lengths across the packed caches (the
-    /// scheduler's KV occupancy of this batch).
-    std::size_t total_length() const;
 
   private:
     std::vector<KvSeq *> caches_;

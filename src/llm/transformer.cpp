@@ -315,8 +315,8 @@ Transformer::run_block(std::size_t layer, Matrix &x,
             KvSeq &c = kv->seq(s);
             const std::size_t base = c.length();
             for (std::size_t t = 0; t < seq_lens[s]; ++t) {
-                c.store_k(layer, base + t, k.row(off + t));
-                c.store_v(layer, base + t, v.row(off + t));
+                c.store(KvRows::kK, layer, base + t, k.row(off + t));
+                c.store(KvRows::kV, layer, base + t, v.row(off + t));
             }
             off += seq_lens[s];
         }
@@ -358,15 +358,15 @@ Transformer::run_block(std::size_t layer, Matrix &x,
                     for (std::size_t t = 0; t < kv_len; ++t) {
                         float *kd = scratch.kdeq.data() + t * d;
                         float *vd = scratch.vdeq.data() + t * d;
-                        c.load_k(layer, t, {kd, d});
-                        c.load_v(layer, t, {vd, d});
+                        c.load(KvRows::kK, layer, t, {kd, d});
+                        c.load(KvRows::kV, layer, t, {vd, d});
                         krows[t] = kd;
                         vrows[t] = vd;
                     }
                 } else {
                     for (std::size_t t = 0; t < kv_len; ++t) {
-                        krows[t] = c.k_row(layer, t).data();
-                        vrows[t] = c.v_row(layer, t).data();
+                        krows[t] = c.float_row(KvRows::kK, layer, t).data();
+                        vrows[t] = c.float_row(KvRows::kV, layer, t).data();
                     }
                 }
             } else {

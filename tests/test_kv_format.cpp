@@ -323,99 +323,103 @@ TEST(KvCacheQuantized, StoreLoadRoundTripsAndGuards)
         cache.reserve(r + 1);
         cache.advance(1);
         for (std::size_t l = 0; l < 2; ++l) {
-            cache.store_k(l, r, rows[r]);
-            cache.store_v(l, r, rows[r]);
+            cache.store(KvRows::kK, l, r, rows[r]);
+            cache.store(KvRows::kV, l, r, rows[r]);
         }
     }
     std::vector<float> out(d);
     for (std::size_t r = 0; r < rows.size(); ++r) {
         const std::vector<float> expect = kv_roundtrip(fmt, rows[r]);
         for (std::size_t l = 0; l < 2; ++l) {
-            cache.load_k(l, r, out);
+            cache.load(KvRows::kK, l, r, out);
             ASSERT_EQ(std::memcmp(out.data(), expect.data(), 4 * d), 0);
-            cache.load_v(l, r, out);
+            cache.load(KvRows::kV, l, r, out);
             ASSERT_EQ(std::memcmp(out.data(), expect.data(), 4 * d), 0);
         }
     }
     // Growth (reserve via advance) preserved the packed prefix above;
     // float row views of a quantized cache are a contract violation.
-    EXPECT_THROW(cache.k_row(0, 0), CheckError);
-    EXPECT_THROW(cache.v_row(0, 0), CheckError);
+    EXPECT_THROW(cache.float_row(KvRows::kK, 0, 0), CheckError);
+    EXPECT_THROW(cache.float_row(KvRows::kV, 0, 0), CheckError);
     EXPECT_EQ(cache.allocated_bytes() % cache.row_bytes(), 0u);
 }
 
 TEST(PagedKvCacheQuantized, MatchesSlabAndSwapsPacked)
 {
-    SplitMix64 rng(88);
-    const std::size_t d = 96;
-    const KvFormat fmt = KvFormat::bfp(32, 5);
-    KvCache slab(2, d, 64, fmt);
-    KvPagePool pool(2, d, 64, 4, 16, true, fmt);
-    EXPECT_EQ(pool.format(), fmt);
-    EXPECT_EQ(pool.page_bytes(), 2 * 2 * 4 * kv_row_bytes(fmt, d));
-    PagedKvCache paged(pool);
+    // Byte-packed BFP, and bit-plane anda-m7 with a partial trailing
+    // group at d = 96.
+    for (const KvFormat fmt : {KvFormat::bfp(32, 5), KvFormat::anda(7)}) {
+        SCOPED_TRACE(fmt.name());
+        SplitMix64 rng(88);
+        const std::size_t d = 96;
+        KvCache slab(2, d, 64, fmt);
+        KvPagePool pool(2, d, 64, 4, 16, true, fmt);
+        EXPECT_EQ(pool.format(), fmt);
+        EXPECT_EQ(pool.page_bytes(), 2 * 2 * 4 * kv_row_bytes(fmt, d));
+        PagedKvCache paged(pool);
 
-    const std::size_t rows = 23;
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::vector<float> row = random_row(rng, d);
-        slab.reserve(r + 1);
-        paged.reserve(r + 1);
-        slab.advance(1);
-        paged.advance(1);
-        for (std::size_t l = 0; l < 2; ++l) {
-            slab.store_k(l, r, row);
-            slab.store_v(l, r, row);
-            paged.store_k(l, r, row);
-            paged.store_v(l, r, row);
+        const std::size_t rows = 23;
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::vector<float> row = random_row(rng, d);
+            slab.reserve(r + 1);
+            paged.reserve(r + 1);
+            slab.advance(1);
+            paged.advance(1);
+            for (std::size_t l = 0; l < 2; ++l) {
+                slab.store(KvRows::kK, l, r, row);
+                slab.store(KvRows::kV, l, r, row);
+                paged.store(KvRows::kK, l, r, row);
+                paged.store(KvRows::kV, l, r, row);
+            }
         }
-    }
-    const auto expect_equal = [&]() {
+        const auto expect_equal = [&]() {
+            std::vector<float> a(d);
+            std::vector<float> b(d);
+            for (std::size_t l = 0; l < 2; ++l) {
+                for (std::size_t r = 0; r < rows; ++r) {
+                    slab.load(KvRows::kK, l, r, a);
+                    paged.load(KvRows::kK, l, r, b);
+                    ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
+                    slab.load(KvRows::kV, l, r, a);
+                    paged.load(KvRows::kV, l, r, b);
+                    ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
+                }
+            }
+        };
+        expect_equal();
+        EXPECT_THROW(paged.float_row(KvRows::kK, 0, 0), CheckError);
+
+        // Swap-out serializes the packed bytes (2 * layers * rows *
+        // row_bytes) and the round-trip restores them bit-for-bit.
+        const std::vector<std::byte> swapped = paged.swap_out();
+        EXPECT_EQ(swapped.size(), 2 * 2 * rows * kv_row_bytes(fmt, d));
+        EXPECT_EQ(paged.length(), 0u);
+        EXPECT_EQ(pool.allocator().used_pages(), 0u);
+        paged.swap_in(swapped, rows);
+        expect_equal();
+
+        // Copy-on-extend of a shared packed prefix moves bytes, never
+        // re-quantizes: the adopted rows stay identical after the adopter
+        // extends past the shared page.
+        PagedKvCache child(pool);
+        child.adopt_prefix(paged, 10);
+        child.reserve(15);
+        child.advance(5);
+        const std::vector<float> extra = random_row(rng, d);
+        for (std::size_t l = 0; l < 2; ++l) {
+            for (std::size_t r = 10; r < 15; ++r) {
+                child.store(KvRows::kK, l, r, extra);
+                child.store(KvRows::kV, l, r, extra);
+            }
+        }
         std::vector<float> a(d);
         std::vector<float> b(d);
         for (std::size_t l = 0; l < 2; ++l) {
-            for (std::size_t r = 0; r < rows; ++r) {
-                slab.load_k(l, r, a);
-                paged.load_k(l, r, b);
-                ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
-                slab.load_v(l, r, a);
-                paged.load_v(l, r, b);
+            for (std::size_t r = 0; r < 10; ++r) {
+                paged.load(KvRows::kK, l, r, a);
+                child.load(KvRows::kK, l, r, b);
                 ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
             }
-        }
-    };
-    expect_equal();
-    EXPECT_THROW(paged.k_row(0, 0), CheckError);
-
-    // Swap-out serializes the packed bytes (2 * layers * rows *
-    // row_bytes) and the round-trip restores them bit-for-bit.
-    const std::vector<std::byte> swapped = paged.swap_out();
-    EXPECT_EQ(swapped.size(), 2 * 2 * rows * kv_row_bytes(fmt, d));
-    EXPECT_EQ(paged.length(), 0u);
-    EXPECT_EQ(pool.allocator().used_pages(), 0u);
-    paged.swap_in(swapped, rows);
-    expect_equal();
-
-    // Copy-on-extend of a shared packed prefix moves bytes, never
-    // re-quantizes: the adopted rows stay identical after the adopter
-    // extends past the shared page.
-    PagedKvCache child(pool);
-    child.adopt_prefix(paged, 10);
-    child.reserve(15);
-    child.advance(5);
-    const std::vector<float> extra = random_row(rng, d);
-    for (std::size_t l = 0; l < 2; ++l) {
-        for (std::size_t r = 10; r < 15; ++r) {
-            child.store_k(l, r, extra);
-            child.store_v(l, r, extra);
-        }
-    }
-    std::vector<float> a(d);
-    std::vector<float> b(d);
-    for (std::size_t l = 0; l < 2; ++l) {
-        for (std::size_t r = 0; r < 10; ++r) {
-            paged.load_k(l, r, a);
-            child.load_k(l, r, b);
-            ASSERT_EQ(std::memcmp(a.data(), b.data(), 4 * d), 0);
         }
     }
 }
@@ -459,8 +463,8 @@ TEST(KvStoreBytes, SwapBufferAndGrownSlabArePinned)
         donor.advance(10);
         for (std::size_t l = 0; l < layers; ++l) {
             for (std::size_t r = 0; r < 10; ++r) {
-                donor.store_k(l, r, random_row(rng, d));
-                donor.store_v(l, r, random_row(rng, d));
+                donor.store(KvRows::kK, l, r, random_row(rng, d));
+                donor.store(KvRows::kV, l, r, random_row(rng, d));
             }
         }
         PagedKvCache child(pool);
@@ -469,8 +473,8 @@ TEST(KvStoreBytes, SwapBufferAndGrownSlabArePinned)
         child.advance(4);
         for (std::size_t l = 0; l < layers; ++l) {
             for (std::size_t r = 10; r < 14; ++r) {
-                child.store_k(l, r, random_row(rng, d));
-                child.store_v(l, r, random_row(rng, d));
+                child.store(KvRows::kK, l, r, random_row(rng, d));
+                child.store(KvRows::kV, l, r, random_row(rng, d));
             }
         }
         const std::vector<std::byte> swapped = child.swap_out();
@@ -485,8 +489,8 @@ TEST(KvStoreBytes, SwapBufferAndGrownSlabArePinned)
             slab.reserve(r + 1);
             reallocs += slab.capacity() != cap ? 1 : 0;
             for (std::size_t l = 0; l < layers; ++l) {
-                slab.store_k(l, r, random_row(rng, d));
-                slab.store_v(l, r, random_row(rng, d));
+                slab.store(KvRows::kK, l, r, random_row(rng, d));
+                slab.store(KvRows::kV, l, r, random_row(rng, d));
             }
             slab.advance(1);
         }
@@ -495,8 +499,8 @@ TEST(KvStoreBytes, SwapBufferAndGrownSlabArePinned)
         float *out = loaded.data();
         for (std::size_t l = 0; l < layers; ++l) {
             for (std::size_t r = 0; r < 40; ++r) {
-                slab.load_k(l, r, {out, d});
-                slab.load_v(l, r, {out + d, d});
+                slab.load(KvRows::kK, l, r, {out, d});
+                slab.load(KvRows::kV, l, r, {out + d, d});
                 out += 2 * d;
             }
         }

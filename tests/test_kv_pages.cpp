@@ -133,21 +133,31 @@ fill_value(std::uint64_t stream, std::size_t layer, std::size_t row,
     return rng.uniform(-1.0f, 1.0f);
 }
 
+/// Stores row `row` of every layer of `seq` with
+/// fill_value(stream, ...).
+void
+store_filled(PagedKvCache &seq, std::uint64_t stream, std::size_t row)
+{
+    std::vector<float> k(seq.d_model());
+    std::vector<float> v(seq.d_model());
+    for (std::size_t l = 0; l < seq.n_layers(); ++l) {
+        for (std::size_t c = 0; c < k.size(); ++c) {
+            k[c] = fill_value(stream, l, row, c, false);
+            v[c] = fill_value(stream, l, row, c, true);
+        }
+        seq.store(KvRows::kK, l, row, k);
+        seq.store(KvRows::kV, l, row, v);
+    }
+}
+
 /// Writes rows [from, to) of `seq` with fill_value(stream, ...).
 void
 write_rows(PagedKvCache &seq, std::uint64_t stream, std::size_t from,
            std::size_t to)
 {
     seq.reserve(to);
-    for (std::size_t l = 0; l < seq.n_layers(); ++l) {
-        for (std::size_t r = from; r < to; ++r) {
-            auto k = seq.k_row(l, r);
-            auto v = seq.v_row(l, r);
-            for (std::size_t c = 0; c < k.size(); ++c) {
-                k[c] = fill_value(stream, l, r, c, false);
-                v[c] = fill_value(stream, l, r, c, true);
-            }
-        }
+    for (std::size_t r = from; r < to; ++r) {
+        store_filled(seq, stream, r);
     }
     seq.advance(to - from);
 }
@@ -168,8 +178,8 @@ TEST(PagedKvCache, AdoptPrefixSharesWithoutAllocating)
     // Adopted rows read back the donor's values.
     for (std::size_t l = 0; l < 2; ++l) {
         for (std::size_t r = 0; r < 6; ++r) {
-            const auto a = adopter.k_row(l, r);
-            const auto d = donor.k_row(l, r);
+            const auto a = adopter.float_row(KvRows::kK, l, r);
+            const auto d = donor.float_row(KvRows::kK, l, r);
             for (std::size_t c = 0; c < a.size(); ++c) {
                 ASSERT_EQ(a[c], d[c]);
             }
@@ -201,7 +211,7 @@ TEST(PagedKvCache, CopyOnExtendIsolatesSharedTailPage)
 
     // The adopter kept its committed prefix bit-for-bit...
     for (std::size_t r = 0; r < 6; ++r) {
-        const auto row = adopter.k_row(0, r);
+        const auto row = adopter.float_row(KvRows::kK, 0, r);
         for (std::size_t c = 0; c < row.size(); ++c) {
             ASSERT_EQ(row[c], fill_value(11, 0, r, c, false));
         }
@@ -210,8 +220,8 @@ TEST(PagedKvCache, CopyOnExtendIsolatesSharedTailPage)
     // without disturbing the adopter.
     write_rows(donor, 17, 6, 8);
     for (std::size_t r = 6; r < 8; ++r) {
-        const auto a = adopter.k_row(0, r);
-        const auto d = donor.k_row(0, r);
+        const auto a = adopter.float_row(KvRows::kK, 0, r);
+        const auto d = donor.float_row(KvRows::kK, 0, r);
         for (std::size_t c = 0; c < a.size(); ++c) {
             ASSERT_EQ(a[c], fill_value(13, 0, r, c, false));
             ASSERT_EQ(d[c], fill_value(17, 0, r, c, false));
@@ -259,8 +269,8 @@ TEST(PagedKvCache, SwapRoundTripRestoresRowsBitExactly)
     EXPECT_EQ(back.length(), 7u);
     for (std::size_t l = 0; l < 2; ++l) {
         for (std::size_t r = 0; r < 7; ++r) {
-            const auto k = back.k_row(l, r);
-            const auto v = back.v_row(l, r);
+            const auto k = back.float_row(KvRows::kK, l, r);
+            const auto v = back.float_row(KvRows::kV, l, r);
             for (std::size_t c = 0; c < 4; ++c) {
                 ASSERT_EQ(k[c], fill_value(23, l, r, c, false));
                 ASSERT_EQ(v[c], fill_value(23, l, r, c, true));
@@ -357,8 +367,8 @@ TEST_P(KvPageStressTest, RandomizedOpsPreserveAllInvariants)
             for (std::size_t r = 0; r < s.rows.size(); ++r) {
                 const auto [stream, row] = s.rows[r];
                 for (std::size_t l = 0; l < kLayers; ++l) {
-                    const auto k = s.seq->k_row(l, r);
-                    const auto v = s.seq->v_row(l, r);
+                    const auto k = s.seq->float_row(KvRows::kK, l, r);
+                    const auto v = s.seq->float_row(KvRows::kV, l, r);
                     for (std::size_t c = 0; c < kDim; ++c) {
                         ASSERT_EQ(k[c],
                                   fill_value(stream, l, row, c, false))
@@ -376,15 +386,8 @@ TEST_P(KvPageStressTest, RandomizedOpsPreserveAllInvariants)
         const std::size_t from = s.seq->length();
         const std::size_t to = from + rows;
         s.seq->reserve(to);
-        for (std::size_t l = 0; l < kLayers; ++l) {
-            for (std::size_t r = from; r < to; ++r) {
-                auto k = s.seq->k_row(l, r);
-                auto v = s.seq->v_row(l, r);
-                for (std::size_t c = 0; c < kDim; ++c) {
-                    k[c] = fill_value(stream, l, r, c, false);
-                    v[c] = fill_value(stream, l, r, c, true);
-                }
-            }
+        for (std::size_t r = from; r < to; ++r) {
+            store_filled(*s.seq, stream, r);
         }
         s.seq->advance(rows);
         for (std::size_t r = from; r < to; ++r) {

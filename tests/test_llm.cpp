@@ -125,11 +125,11 @@ TEST(Ops, AttentionViewMatchesCopiedHeads)
                 for (float &v : row) {
                     v = static_cast<float>(rng.normal(0.0, 1.5));
                 }
-                cache.store_k(0, t, row);
+                cache.store(KvRows::kK, 0, t, row);
                 for (float &v : row) {
                     v = static_cast<float>(rng.normal(0.0, 1.5));
                 }
-                cache.store_v(0, t, row);
+                cache.store(KvRows::kV, 0, t, row);
             }
             const std::size_t n_q = std::min(kQueries, kv_len);
             const std::size_t q_offset = kv_len - n_q;
@@ -144,13 +144,13 @@ TEST(Ops, AttentionViewMatchesCopiedHeads)
             std::vector<const float *> vrows(kv_len);
             for (std::size_t t = 0; t < kv_len; ++t) {
                 if (fmt.quantized()) {
-                    cache.load_k(0, t, kfull.row(t));
-                    cache.load_v(0, t, vfull.row(t));
+                    cache.load(KvRows::kK, 0, t, kfull.row(t));
+                    cache.load(KvRows::kV, 0, t, vfull.row(t));
                     krows[t] = kfull.row(t).data();
                     vrows[t] = vfull.row(t).data();
                 } else {
-                    krows[t] = cache.k_row(0, t).data();
-                    vrows[t] = cache.v_row(0, t).data();
+                    krows[t] = cache.float_row(KvRows::kK, 0, t).data();
+                    vrows[t] = cache.float_row(KvRows::kV, 0, t).data();
                 }
             }
             Matrix ctx(n_q, kD);

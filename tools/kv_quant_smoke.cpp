@@ -9,24 +9,20 @@
 //  * traffic win — with attention pricing on and no capacity
 //    pressure, the quantized run schedules the identical token plan
 //    while its priced KV DRAM bytes and attention cycles drop;
-//  * determinism + packed swap — the quantized run replays itself,
-//    and a quantized PagedKvCache swap-out/swap-in round-trips its
-//    packed pages bit-for-bit.
+//  * determinism — the quantized run replays itself.
+// The packed swap round-trip itself is covered by the
+// PagedKvCacheQuantized gtests.
 // Registered as the `kv_quant_smoke` ctest so the packed-KV path runs
 // under the sanitizer CI lanes; writes kv_quant_smoke_summary.txt
 // (uploaded as a CI artifact).
 
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "format/kv_format.h"
-#include "llm/kv_pages.h"
 #include "serve/serving_sim.h"
 
 namespace {
@@ -168,57 +164,6 @@ main()
         model, system, tech16(), requests, paged_quant);
     if (again.summary() != cap_quant.summary()) {
         fail("quantized serving run is not deterministic");
-    }
-
-    // --- Packed swap round-trip. ---
-    {
-        SplitMix64 rng(4455);
-        const std::size_t d = 96;
-        KvPagePool pool(2, d, 64, 4, 16, true, quant);
-        PagedKvCache cache(pool);
-        cache.reserve(13);
-        cache.advance(13);
-        std::vector<float> row(d);
-        for (std::size_t r = 0; r < 13; ++r) {
-            for (float &v : row) {
-                v = rng.uniform(-2.0f, 2.0f);
-            }
-            for (std::size_t l = 0; l < 2; ++l) {
-                cache.store_k(l, r, row);
-                cache.store_v(l, r, row);
-            }
-        }
-        std::vector<float> before(2 * 2 * 13 * d);
-        std::size_t off = 0;
-        for (std::size_t l = 0; l < 2; ++l) {
-            for (std::size_t r = 0; r < 13; ++r) {
-                cache.load_k(l, r,
-                             std::span<float>(&before[off], d));
-                off += d;
-                cache.load_v(l, r,
-                             std::span<float>(&before[off], d));
-                off += d;
-            }
-        }
-        const std::vector<std::byte> swapped = cache.swap_out();
-        if (swapped.size() != 2 * 2 * 13 * kv_row_bytes(quant, d)) {
-            fail("packed swap buffer has the wrong size");
-        }
-        cache.swap_in(swapped, 13);
-        std::vector<float> after(before.size());
-        off = 0;
-        for (std::size_t l = 0; l < 2; ++l) {
-            for (std::size_t r = 0; r < 13; ++r) {
-                cache.load_k(l, r, std::span<float>(&after[off], d));
-                off += d;
-                cache.load_v(l, r, std::span<float>(&after[off], d));
-                off += d;
-            }
-        }
-        if (std::memcmp(before.data(), after.data(),
-                        4 * before.size()) != 0) {
-            fail("packed swap did not round-trip bit-for-bit");
-        }
     }
 
     std::string summary =
