@@ -283,12 +283,12 @@ PagedKvCache::swap_out()
 {
     std::vector<std::byte> data;
     if (pool_->with_storage()) {
-        const KvRows &rows = pool_->rows();
-        data.resize(2 * rows.n_layers() * length_ * rows.row_bytes());
+        const KvRows &store = pool_->rows();
+        data.resize(2 * store.n_layers() * length_ * store.row_bytes());
         std::byte *dst = data.data();
-        for (std::size_t l = 0; l < rows.n_layers(); ++l) {
+        for (std::size_t l = 0; l < store.n_layers(); ++l) {
             for (std::size_t r = 0; r < length_; ++r) {
-                dst = std::ranges::copy(rows.records(l, pool_row(r)), dst)
+                dst = std::ranges::copy(store.records(l, pool_row(r)), dst)
                           .out;
             }
         }
