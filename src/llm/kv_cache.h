@@ -30,11 +30,11 @@ namespace anda {
 /// record r is row r's K bytes followed by its V bytes
 /// (kv_row_bytes(fmt, d_model) each). A row's whole cached state is
 /// therefore one contiguous byte run — the unit swap and
-/// copy-on-extend move. Rows are written only through kv_pack_row and
-/// read only through kv_unpack_row. The storage is float-typed and
-/// handed out as byte views, so an FP32 row's floats stay addressable
-/// in place (float_row): attention reads FP32 caches through row
-/// pointers, with no copy.
+/// copy-on-extend move, as bytes. Values enter only through
+/// kv_pack_row and leave only through kv_unpack_row, except that the
+/// storage is float-typed and handed out as byte views, so an FP32
+/// row's floats stay addressable in place (float_row): attention
+/// reads FP32 caches through row pointers, with no copy.
 class KvRows {
   public:
     /// Which tensor of a cached row.
