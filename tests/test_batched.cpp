@@ -1,14 +1,20 @@
 // Bit-exactness of the batched evaluation pipeline: batch_nll /
 // forward_logits_batched vs the per-sequence path across activation
 // formats and batch sizes, streaming-NLL vs materialized logits, and
-// perplexity invariance to batch size and thread count.
+// perplexity invariance to batch size and thread count; FNV pins of the
+// executor's output bits (NLL, logits, decode logits).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "llm/corpus.h"
+#include "llm/kv_cache.h"
 #include "llm/ops.h"
 #include "llm/transformer.h"
 
@@ -167,6 +173,110 @@ TEST_F(BatchedTest, MixedLengthCorpusStillEvaluates)
     EXPECT_EQ(perplexity(model(), corpus, opts), want);
     EXPECT_EQ(perplexity(model(), corpus, opts, EvalOptions{1, 4}),
               want);
+}
+
+/// FNV-1a over the bit patterns of a run of floats or doubles.
+template <typename T>
+std::uint64_t
+fnv_bits(std::span<const T> values)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::byte b : std::as_bytes(values)) {
+        h ^= std::to_integer<std::uint64_t>(b);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/// Deterministic tokens of sequence s at length len.
+std::vector<int>
+pin_tokens(std::size_t s, std::size_t len, int vocab)
+{
+    std::vector<int> seq(len);
+    for (std::size_t t = 0; t < len; ++t) {
+        seq[t] = static_cast<int>((s * 131 + t * 17 + 3) %
+                                  static_cast<std::size_t>(vocab));
+    }
+    return seq;
+}
+
+TEST(ExecutorBits, NllLogitsAndDecodeArePinned)
+{
+    // The executor's outputs, bit for bit: ragged batch_nll (lengths
+    // below, at and above one 16-wide block, and max_seq), a
+    // full-sequence forward_logits, and one 5-sequence decode_step
+    // over ragged cached prefixes. Kernel rewrites (wide GeMM, batched
+    // logit head, vector attention) must keep every constant.
+    struct Golden {
+        const char *model;
+        const char *taps;
+        std::uint64_t nll;
+        std::uint64_t logits;
+        std::uint64_t decode;
+    };
+    const Golden goldens[] = {
+        {"opt-125m", "fp16", 0x2d63f9eac38ce640ull,
+         0x5bcf3c319797b8b0ull, 0x9c8bd6d3a07bb3a3ull},
+        {"opt-125m", "anda", 0xcdc3747ca486033bull,
+         0xaf3df631e8390634ull, 0xb45d28a7c68e8478ull},
+        {"opt-125m", "bfp", 0x97d736d7a2f931bdull,
+         0xbb999f35b97e7962ull, 0x4a82e9649c867a3full},
+        {"llama-7b", "fp16", 0x398562771c61ada4ull,
+         0xba23b7382b9182afull, 0x2652af9d10eddaecull},
+        {"llama-7b", "anda", 0x3ed575640a4fc5caull,
+         0xdbc59941deda1c59ull, 0xec81dc21875a9d6full},
+        {"llama-7b", "bfp", 0x455cf27fcde6ce59ull,
+         0xe1e9bcfabd3f437full, 0xeca2e6a0b405d20eull},
+    };
+    for (const Golden &g : goldens) {
+        const Transformer m(find_model(g.model));
+        const int vocab = m.dims().vocab;
+        RunOptions opts;
+        const std::string taps = g.taps;
+        if (taps == "anda") {
+            opts.prec = PrecisionConfig::anda({7, 7, 7, 6});
+        } else if (taps == "bfp") {
+            opts.prec = PrecisionConfig::uniform_bfp(64, 5);
+        }
+
+        std::vector<std::vector<int>> batch;
+        for (const std::size_t len : {2u, 15u, 16u, 17u, 128u}) {
+            batch.push_back(pin_tokens(batch.size(), len, vocab));
+        }
+        const std::vector<double> nll = m.batch_nll(batch, opts);
+
+        const Matrix logits =
+            m.forward_logits(pin_tokens(7, 33, vocab), opts);
+
+        constexpr std::array<std::size_t, 5> kPrefix = {1, 2, 16, 17, 40};
+        std::vector<KvCache> caches;
+        caches.reserve(kPrefix.size());
+        BatchKvCache caches_batch;
+        std::vector<int> next;
+        for (std::size_t s = 0; s < kPrefix.size(); ++s) {
+            const auto seq = pin_tokens(s + 11, kPrefix[s] + 1, vocab);
+            caches.push_back(m.make_cache());
+            m.prefill(caches.back(),
+                      std::span<const int>(seq.data(), kPrefix[s]), opts);
+            next.push_back(seq.back());
+        }
+        for (KvCache &c : caches) {
+            caches_batch.add(c);
+        }
+        const Matrix decoded = m.decode_step(caches_batch, next, opts);
+
+        const std::uint64_t got_nll =
+            fnv_bits(std::span<const double>(nll));
+        const std::uint64_t got_logits = fnv_bits(logits.flat());
+        const std::uint64_t got_decode = fnv_bits(decoded.flat());
+        const std::string what = std::string(g.model) + ' ' + g.taps;
+        EXPECT_EQ(got_nll, g.nll)
+            << what << std::hex << " got 0x" << got_nll;
+        EXPECT_EQ(got_logits, g.logits)
+            << what << std::hex << " got 0x" << got_logits;
+        EXPECT_EQ(got_decode, g.decode)
+            << what << std::hex << " got 0x" << got_decode;
+    }
 }
 
 }  // namespace
