@@ -147,24 +147,42 @@ BM_KvUnpackRow(benchmark::State &state)
 }
 BENCHMARK(BM_KvUnpackRow)->Arg(4)->Arg(7)->Arg(8)->Arg(13);
 
-// matmul_wt on a decode-sized block (16 rows, one per batch slot) at
-// the four sim-dims taps of the llama family: qkv and o (128 -> 128),
-// u (128 -> 384), d (384 -> 128). Single-threaded, as in the executor.
+// The four sim-dims taps of the llama family as {K, N}: qkv and o
+// (128 -> 128), u (128 -> 384), d (384 -> 128).
+constexpr std::array<std::array<std::size_t, 2>, 4> kLlamaSimTaps = {
+    {{128, 128}, {128, 128}, {128, 384}, {384, 128}}};
+
+// matmul_wt over `rows` token rows at sim tap state.range(0),
+// single-threaded, as in the executor.
 void
-BM_MatmulWtDecode(benchmark::State &state)
+matmul_wt_tap(benchmark::State &state, std::size_t rows)
 {
-    constexpr std::array<std::array<std::size_t, 2>, 4> kTaps = {
-        {{128, 128}, {128, 128}, {128, 384}, {384, 128}}};
-    const auto [k, n] = kTaps[static_cast<std::size_t>(state.range(0))];
-    const Matrix a = random_matrix(16, k, 11);
+    const auto [k, n] =
+        kLlamaSimTaps[static_cast<std::size_t>(state.range(0))];
+    const Matrix a = random_matrix(rows, k, 11);
     const Matrix w = random_matrix(n, k, 12);
     for (auto _ : state) {
         Matrix c = matmul_wt(a, w, /*threads=*/1);
         benchmark::DoNotOptimize(c.data());
     }
-    state.SetItemsProcessed(state.iterations() * 16 * k * n);
+    state.SetItemsProcessed(state.iterations() * rows * k * n);
+}
+
+// A decode-sized block: 16 rows, one per batch slot.
+void
+BM_MatmulWtDecode(benchmark::State &state)
+{
+    matmul_wt_tap(state, 16);
 }
 BENCHMARK(BM_MatmulWtDecode)->ArgName("tap")->DenseRange(0, 3);
+
+// One perplexity worker's batch: 32 calibration sequences x 128 tokens.
+void
+BM_MatmulWtPrefill(benchmark::State &state)
+{
+    matmul_wt_tap(state, 32 * 128);
+}
+BENCHMARK(BM_MatmulWtPrefill)->ArgName("tap")->DenseRange(0, 3);
 
 // GeMM benchmarks come in a pinned single-threaded variant (the
 // machine-independent number used for before/after kernel comparisons)

@@ -109,35 +109,264 @@ dot_f32_x4(const float *a, const float *const w[4], std::size_t n,
 
 #endif
 
+/// The baseline path: one token row at a time, four outputs per pass.
+void
+matmul_rows_baseline(const Matrix &a, const Matrix &w, Matrix &c,
+                     std::size_t lo, std::size_t hi)
+{
+    const std::size_t k = a.cols();
+    const std::size_t n_out = w.rows();
+    for (std::size_t t = lo; t < hi; ++t) {
+        const float *arow = a.data() + t * k;
+        float *crow = c.data() + t * n_out;
+        std::size_t n = 0;
+        for (; n + 4 <= n_out; n += 4) {
+            const float *wrows[4] = {
+                w.data() + n * k, w.data() + (n + 1) * k,
+                w.data() + (n + 2) * k, w.data() + (n + 3) * k};
+            dot_f32_x4(arow, wrows, k, crow + n);
+        }
+        for (; n < n_out; ++n) {
+            crow[n] = dot_f32(arow, w.data() + n * k, k);
+        }
+    }
+}
+
+// The AVX-512 path needs GCC >= 12 or Clang (__builtin_shufflevector on
+// 64-byte vectors) and an x86 target (__builtin_cpu_supports).
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__clang__) || __GNUC__ >= 12)
+#define ANDA_GEMM_AVX512 1
+
+// avx512f implies FMA, and a fused a * b + acc rounds once where
+// dot_f32 rounds twice. GCC contracts by default in C++
+// (-ffp-contract=fast), so every function of this path carries
+// optimize("fp-contract=off"); Clang contracts within an expression
+// (-ffp-contract=on), so every body opens with the clang fp pragma.
+#if defined(__clang__)
+#define ANDA_AVX512_FN __attribute__((target("avx512f")))
+#define ANDA_NO_FP_CONTRACT _Pragma("clang fp contract(off)")
+#else
+#define ANDA_AVX512_FN \
+    __attribute__((target("avx512f"), optimize("fp-contract=off")))
+#define ANDA_NO_FP_CONTRACT
+#endif
+
+/// Sixteen float lanes, one zmm register.
+using Vec16 = float __attribute__((vector_size(64)));
+
+ANDA_AVX512_FN inline Vec16
+load16(const float *p)
+{
+    Vec16 v = {};
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/// One butterfly stage of a 16 x 16 transpose: swaps bit `B` of the
+/// register index with bit `B` of the lane index for the pair
+/// (x[i], x[i + B]).
+template <int B>
+ANDA_AVX512_FN inline void
+transpose_stage(Vec16 x[16])
+{
+    for (int i = 0; i < 16; ++i) {
+        if ((i & B) != 0) {
+            continue;
+        }
+        const Vec16 lo = x[i];
+        const Vec16 hi = x[i + B];
+        if constexpr (B == 1) {
+            x[i] = __builtin_shufflevector(lo, hi, 0, 16, 2, 18, 4, 20, 6,
+                                           22, 8, 24, 10, 26, 12, 28, 14,
+                                           30);
+            x[i + B] = __builtin_shufflevector(lo, hi, 1, 17, 3, 19, 5, 21,
+                                               7, 23, 9, 25, 11, 27, 13,
+                                               29, 15, 31);
+        } else if constexpr (B == 2) {
+            x[i] = __builtin_shufflevector(lo, hi, 0, 1, 16, 17, 4, 5, 20,
+                                           21, 8, 9, 24, 25, 12, 13, 28,
+                                           29);
+            x[i + B] = __builtin_shufflevector(lo, hi, 2, 3, 18, 19, 6, 7,
+                                               22, 23, 10, 11, 26, 27, 14,
+                                               15, 30, 31);
+        } else if constexpr (B == 4) {
+            x[i] = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 16, 17, 18,
+                                           19, 8, 9, 10, 11, 24, 25, 26,
+                                           27);
+            x[i + B] = __builtin_shufflevector(lo, hi, 4, 5, 6, 7, 20, 21,
+                                               22, 23, 12, 13, 14, 15, 28,
+                                               29, 30, 31);
+        } else {
+            x[i] = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7,
+                                           16, 17, 18, 19, 20, 21, 22, 23);
+            x[i + B] = __builtin_shufflevector(lo, hi, 8, 9, 10, 11, 12, 13,
+                                               14, 15, 24, 25, 26, 27, 28,
+                                               29, 30, 31);
+        }
+    }
+}
+
+/// R token rows x C output rows (R * C == 16) of dot_f32, one zmm
+/// accumulator per output holding dot_f32's 16 lane sums. The
+/// accumulator block is transposed so lane j of vector l holds lane l
+/// of output j, then summed vector 0..15 from zero: every output
+/// reduces its lanes in dot_f32's order, all 16 side by side. out[j]
+/// is output (j / C, j % C). Duplicate row pointers are allowed (the
+/// caller discards their outputs).
+template <std::size_t R, std::size_t C>
+ANDA_AVX512_FN void
+dot_f32_block(const float *const a[R], const float *const w[C],
+              std::size_t k, float out[16])
+{
+    ANDA_NO_FP_CONTRACT
+    static_assert(R * C == 16, "one zmm accumulator per output");
+    Vec16 acc[16] = {};
+    std::size_t i = 0;
+    for (; i + 16 <= k; i += 16) {
+        Vec16 av[R];
+        Vec16 wv[C];
+        for (std::size_t r = 0; r < R; ++r) {
+            av[r] = load16(a[r] + i);
+        }
+        for (std::size_t c = 0; c < C; ++c) {
+            wv[c] = load16(w[c] + i);
+        }
+        for (std::size_t r = 0; r < R; ++r) {
+            for (std::size_t c = 0; c < C; ++c) {
+                acc[r * C + c] += av[r] * wv[c];
+            }
+        }
+    }
+    transpose_stage<1>(acc);
+    transpose_stage<2>(acc);
+    transpose_stage<4>(acc);
+    transpose_stage<8>(acc);
+    Vec16 s = {};
+    for (std::size_t l = 0; l < 16; ++l) {
+        s += acc[l];
+    }
+    std::memcpy(out, &s, sizeof s);
+    for (std::size_t j = 0; j < 16 && i < k; ++j) {
+        const float *aj = a[j / C];
+        const float *wj = w[j % C];
+        for (std::size_t ii = i; ii < k; ++ii) {
+            out[j] += aj[ii] * wj[ii];
+        }
+    }
+}
+
+/// The AVX-512 path: 4 token rows x 4 outputs per block, lone rows
+/// 1 x 16. Output tails reuse the last output row and store only the
+/// valid results.
+ANDA_AVX512_FN void
+matmul_rows_avx512(const Matrix &a, const Matrix &w, Matrix &c,
+                   std::size_t lo, std::size_t hi)
+{
+    ANDA_NO_FP_CONTRACT
+    const std::size_t k = a.cols();
+    const std::size_t n_out = w.rows();
+    float out[16];
+    std::size_t t = lo;
+    for (; t + 4 <= hi; t += 4) {
+        const float *arows[4];
+        for (std::size_t r = 0; r < 4; ++r) {
+            arows[r] = a.data() + (t + r) * k;
+        }
+        for (std::size_t n = 0; n < n_out; n += 4) {
+            const std::size_t valid = std::min<std::size_t>(4, n_out - n);
+            const float *wrows[4];
+            for (std::size_t o = 0; o < 4; ++o) {
+                wrows[o] = w.data() + (n + std::min(o, valid - 1)) * k;
+            }
+            dot_f32_block<4, 4>(arows, wrows, k, out);
+            for (std::size_t r = 0; r < 4; ++r) {
+                std::copy_n(out + 4 * r, valid,
+                            c.data() + (t + r) * n_out + n);
+            }
+        }
+    }
+    for (; t < hi; ++t) {
+        const float *arow[1] = {a.data() + t * k};
+        for (std::size_t n = 0; n < n_out; n += 16) {
+            const std::size_t valid = std::min<std::size_t>(16, n_out - n);
+            const float *wrows[16];
+            for (std::size_t o = 0; o < 16; ++o) {
+                wrows[o] = w.data() + (n + std::min(o, valid - 1)) * k;
+            }
+            dot_f32_block<1, 16>(arow, wrows, k, out);
+            std::copy_n(out, valid, c.data() + t * n_out + n);
+        }
+    }
+}
+
+#undef ANDA_AVX512_FN
+#undef ANDA_NO_FP_CONTRACT
+
+#endif  // AVX-512 path
+
+/// C = A * W^T on one path (support already checked).
+Matrix
+matmul_wt_impl(detail::GemmPath path, const Matrix &a, const Matrix &w,
+               std::size_t threads)
+{
+    check_gemm_shapes(a.cols(), w.cols(), "matmul_wt");
+    Matrix c(a.rows(), w.rows());
+    parallel_for_chunked(
+        0, a.rows(),
+        [&](std::size_t lo, std::size_t hi) {
+#ifdef ANDA_GEMM_AVX512
+            if (path == detail::GemmPath::kAvx512) {
+                matmul_rows_avx512(a, w, c, lo, hi);
+                return;
+            }
+#endif
+            matmul_rows_baseline(a, w, c, lo, hi);
+        },
+        threads);
+    return c;
+}
+
 }  // namespace
+
+namespace detail {
+
+bool
+gemm_path_supported(GemmPath path)
+{
+    switch (path) {
+    case GemmPath::kBaseline:
+        return true;
+    case GemmPath::kAvx512:
+#ifdef ANDA_GEMM_AVX512
+        return __builtin_cpu_supports("avx512f") != 0;
+#else
+        return false;
+#endif
+    }
+    return false;
+}
+
+Matrix
+matmul_wt_on_path(GemmPath path, const Matrix &a, const Matrix &w,
+                  std::size_t threads)
+{
+    ANDA_CHECK(gemm_path_supported(path),
+               "matmul_wt: this host cannot run the requested path");
+    return matmul_wt_impl(path, a, w, threads);
+}
+
+}  // namespace detail
 
 Matrix
 matmul_wt(const Matrix &a, const Matrix &w, std::size_t threads)
 {
-    check_gemm_shapes(a.cols(), w.cols(), "matmul_wt");
-    Matrix c(a.rows(), w.rows());
-    const std::size_t k = a.cols();
-    const std::size_t n_out = w.rows();
-    parallel_for_chunked(
-        0, a.rows(),
-        [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t t = lo; t < hi; ++t) {
-                const float *arow = a.data() + t * k;
-                float *crow = c.data() + t * n_out;
-                std::size_t n = 0;
-                for (; n + 4 <= n_out; n += 4) {
-                    const float *wrows[4] = {
-                        w.data() + n * k, w.data() + (n + 1) * k,
-                        w.data() + (n + 2) * k, w.data() + (n + 3) * k};
-                    dot_f32_x4(arow, wrows, k, crow + n);
-                }
-                for (; n < n_out; ++n) {
-                    crow[n] = dot_f32(arow, w.data() + n * k, k);
-                }
-            }
-        },
-        threads);
-    return c;
+    // The widest path this host runs, probed once per process.
+    static const detail::GemmPath path =
+        detail::gemm_path_supported(detail::GemmPath::kAvx512)
+            ? detail::GemmPath::kAvx512
+            : detail::GemmPath::kBaseline;
+    return matmul_wt_impl(path, a, w, threads);
 }
 
 Matrix

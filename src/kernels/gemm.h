@@ -55,9 +55,28 @@ float dot_f32(const float *a, const float *b, std::size_t n);
 
 /// C = A * W^T with float32 inputs, parallelized over token rows.
 /// threads = 0 uses all cores; 1 runs serially (callers that already
-/// parallelize at a coarser grain pass 1).
+/// parallelize at a coarser grain pass 1). Every element is bit-equal
+/// to dot_f32 over its row pair, on whichever path the host runs.
 Matrix matmul_wt(const Matrix &a, const Matrix &w,
                  std::size_t threads = 0);
+
+namespace detail {
+
+/// The instruction-set paths of matmul_wt. Internal: matmul_wt picks
+/// one per process; tests name them to check each against dot_f32.
+enum class GemmPath {
+    kBaseline,  ///< 128-bit vectors, one token row x 4 outputs.
+    kAvx512,    ///< zmm, 4 token rows x 4 outputs (lone rows 1 x 16).
+};
+
+/// Whether this build and host can run `path`.
+bool gemm_path_supported(GemmPath path);
+
+/// matmul_wt on an explicit path; throws if the host cannot run it.
+Matrix matmul_wt_on_path(GemmPath path, const Matrix &a, const Matrix &w,
+                         std::size_t threads = 0);
+
+}  // namespace detail
 
 /// Reference GeMM in double precision (ground truth for kernel tests).
 Matrix gemm_ref(const Matrix &a, const Matrix &w);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -176,6 +177,12 @@ causal_attention_head(const Matrix &q, const Matrix &k, const Matrix &v,
     }
 }
 
+#if defined(__GNUC__)  // GCC and Clang
+/// Sixteen float lanes (GCC/Clang vector extension; lowers to whatever
+/// the baseline ISA offers, four SSE registers on x86-64).
+using Vec16 = float __attribute__((vector_size(64)));
+#endif
+
 void
 causal_attention_view(std::span<const float *const> q,
                       std::span<const float *const> k,
@@ -186,19 +193,54 @@ causal_attention_view(std::span<const float *const> q,
 {
     ANDA_DCHECK(q.size() == out.size() && k.size() == v.size(),
                 "attention view row counts must agree");
+    constexpr std::size_t kLanes = 16;
     const std::size_t kv_len = k.size();
+#if defined(__GNUC__)
+    const std::size_t key_blocks = kv_len / kLanes;
+#else
+    const std::size_t key_blocks = 0;
+#endif
     const float scale =
         1.0f / std::sqrt(static_cast<float>(head_dim));
-    if (scratch.size() < kv_len + head_dim) {
-        scratch.resize(kv_len + head_dim);
+    const std::size_t kt_len = key_blocks * head_dim * kLanes;
+    if (scratch.size() < kv_len + head_dim + kt_len) {
+        scratch.resize(kv_len + head_dim + kt_len);
     }
     float *scores = scratch.data();
-    float *acc = scratch.data() + kv_len;
+    float *acc = scores + kv_len;
+    // Full blocks of 16 keys, transposed once per call: column c of
+    // key 16 * b + l sits at kt[(b * head_dim + c) * 16 + l].
+    float *kt = acc + head_dim;
+    for (std::size_t b = 0; b < key_blocks; ++b) {
+        float *block = kt + b * head_dim * kLanes;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            const float *kj = k[b * kLanes + l] + col;
+            for (std::size_t c = 0; c < head_dim; ++c) {
+                block[c * kLanes + l] = kj[c];
+            }
+        }
+    }
     for (std::size_t i = 0; i < q.size(); ++i) {
         const std::size_t visible =
             std::min(kv_len, q_offset + i + 1);
         const float *qi = q[i] + col;
-        for (std::size_t j = 0; j < visible; ++j) {
+        std::size_t j = 0;
+#if defined(__GNUC__)
+        // 16 keys per vector: lane l runs the reference's own
+        // s += q[c] * k[j + l][c] chain in c order.
+        for (; j + kLanes <= visible; j += kLanes) {
+            const float *block = kt + (j / kLanes) * head_dim * kLanes;
+            Vec16 s = {};
+            for (std::size_t c = 0; c < head_dim; ++c) {
+                Vec16 kc = {};
+                std::memcpy(&kc, block + c * kLanes, sizeof kc);
+                s += qi[c] * kc;
+            }
+            s *= scale;
+            std::memcpy(scores + j, &s, sizeof s);
+        }
+#endif
+        for (; j < visible; ++j) {
             const float *kj = k[j] + col;
             float s = 0.0f;
             for (std::size_t c = 0; c < head_dim; ++c) {
@@ -210,7 +252,7 @@ causal_attention_view(std::span<const float *const> q,
         // Each output column sums scores[j] * v[j] over j in order, as
         // the reference does, but row by row over contiguous V.
         std::fill(acc, acc + head_dim, 0.0f);
-        for (std::size_t j = 0; j < visible; ++j) {
+        for (j = 0; j < visible; ++j) {
             const float p = scores[j];
             const float *vj = v[j] + col;
             for (std::size_t c = 0; c < head_dim; ++c) {

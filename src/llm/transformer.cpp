@@ -440,28 +440,30 @@ Transformer::run_block(std::size_t layer, Matrix &x,
     }
 }
 
-void
-Transformer::final_logits_row(std::span<const float> x,
-                              std::span<float> out) const
+Matrix
+Transformer::final_logits(const Matrix &x, std::size_t row0,
+                          std::size_t rows, const RunOptions &opts) const
 {
-    const ModelDims &dims = cfg_.sim;
-    std::vector<float> normed(x.size());
-    if (cfg_.is_llama()) {
-        rms_norm(x, final_norm_gain_, normed);
-    } else {
-        layer_norm(x, final_norm_gain_, normed);
+    ANDA_DCHECK_LE(row0 + rows, x.rows(), "logit rows outside x");
+    Matrix normed(rows, x.cols());
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (cfg_.is_llama()) {
+            rms_norm(x.row(row0 + r), final_norm_gain_, normed.row(r));
+        } else {
+            layer_norm(x.row(row0 + r), final_norm_gain_, normed.row(r));
+        }
     }
-    for (float &v : normed) {
+    for (float &v : normed.flat()) {
         v = fp16_round(v);
     }
     const float scale =
         static_cast<float>(cfg_.profile.logit_scale) /
-        std::sqrt(static_cast<float>(dims.d_model));
-    for (std::size_t v = 0; v < out.size(); ++v) {
-        out[v] = scale * dot_f32(normed.data(),
-                                 lm_head_.data() + v * x.size(),
-                                 x.size());
+        std::sqrt(static_cast<float>(cfg_.sim.d_model));
+    Matrix logits = matmul_wt(normed, lm_head_, opts.threads);
+    for (float &v : logits.flat()) {
+        v = scale * v;
     }
+    return logits;
 }
 
 Matrix
@@ -544,12 +546,11 @@ Transformer::prefill(KvSeq &cache, std::span<const int> tokens,
     batch.add(cache);
     const std::size_t len = tokens.size();
     const Matrix x = forward_hidden(tokens, {&len, 1}, opts, &batch);
-    std::vector<float> logits;
-    if (want_logits) {
-        logits.resize(static_cast<std::size_t>(cfg_.sim.vocab));
-        final_logits_row(x.row(len - 1), logits);
+    if (!want_logits) {
+        return {};
     }
-    return logits;
+    const Matrix logits = final_logits(x, len - 1, 1, opts);
+    return {logits.flat().begin(), logits.flat().end()};
 }
 
 Matrix
@@ -561,12 +562,7 @@ Transformer::decode_step(BatchKvCache &caches,
                "decode step needs one token per cached sequence");
     const std::vector<std::size_t> lens(tokens.size(), 1);
     const Matrix x = forward_hidden(tokens, lens, opts, &caches);
-    Matrix logits(tokens.size(),
-                  static_cast<std::size_t>(cfg_.sim.vocab));
-    for (std::size_t b = 0; b < tokens.size(); ++b) {
-        final_logits_row(x.row(b), logits.row(b));
-    }
-    return logits;
+    return final_logits(x, 0, x.rows(), opts);
 }
 
 Matrix
@@ -575,12 +571,7 @@ Transformer::forward_logits(std::span<const int> tokens,
 {
     const std::size_t len = tokens.size();
     const Matrix x = forward_hidden(tokens, {&len, 1}, opts);
-    Matrix logits(tokens.size(),
-                  static_cast<std::size_t>(cfg_.sim.vocab));
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-        final_logits_row(x.row(t), logits.row(t));
-    }
-    return logits;
+    return final_logits(x, 0, x.rows(), opts);
 }
 
 namespace {
@@ -619,11 +610,7 @@ Transformer::forward_logits_batched(
 {
     const PackedBatch packed = pack_sequences(seqs);
     const Matrix x = forward_hidden(packed.tokens, packed.lens, opts);
-    Matrix logits(x.rows(), static_cast<std::size_t>(cfg_.sim.vocab));
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        final_logits_row(x.row(r), logits.row(r));
-    }
-    return logits;
+    return final_logits(x, 0, x.rows(), opts);
 }
 
 std::vector<double>
@@ -635,16 +622,15 @@ Transformer::nll_stacked(std::span<const int> tokens_flat,
         ANDA_CHECK_GE(len, 2u, "need at least two tokens for NLL");
     }
     const Matrix x = forward_hidden(tokens_flat, seq_lens, opts);
-    // Stream the logit head one row at a time: peak memory stays at one
-    // vocab-sized buffer instead of the full [sum(T_i) x vocab] matrix.
-    std::vector<float> logits(static_cast<std::size_t>(cfg_.sim.vocab));
+    // One logit-head GeMM per sequence: peak memory stays at one
+    // [max_seq x vocab] block instead of the full [sum(T_i) x vocab]
+    // matrix.
     std::vector<double> nll(seq_lens.size(), 0.0);
     std::size_t off = 0;
     for (std::size_t s = 0; s < seq_lens.size(); ++s) {
+        const Matrix logits = final_logits(x, off, seq_lens[s] - 1, opts);
         for (std::size_t t = 0; t + 1 < seq_lens[s]; ++t) {
-            const std::size_t row = off + t;
-            final_logits_row(x.row(row), logits);
-            nll[s] -= log_prob_of(logits, tokens_flat[row + 1]);
+            nll[s] -= log_prob_of(logits.row(t), tokens_flat[off + t + 1]);
         }
         off += seq_lens[s];
     }
@@ -677,11 +663,10 @@ Transformer::cached_sequence_nll(std::span<const int> tokens,
     batch.add(cache);
     const std::size_t len = tokens.size();
     const Matrix x = forward_hidden(tokens, {&len, 1}, opts, &batch);
-    std::vector<float> logits(static_cast<std::size_t>(cfg_.sim.vocab));
+    const Matrix logits = final_logits(x, 0, len - 1, opts);
     double nll = 0.0;
     for (std::size_t t = 0; t + 1 < len; ++t) {
-        final_logits_row(x.row(t), logits);
-        nll -= log_prob_of(logits, tokens[t + 1]);
+        nll -= log_prob_of(logits.row(t), tokens[t + 1]);
     }
     return nll;
 }

@@ -216,8 +216,11 @@ class Transformer {
     nll_stacked(std::span<const int> tokens_flat,
                 std::span<const std::size_t> seq_lens,
                 const RunOptions &opts) const;
-    void final_logits_row(std::span<const float> x,
-                          std::span<float> out) const;
+    /// The logit head over rows [row0, row0 + rows) of the final
+    /// hidden states x: final norm, FP16 rounding, one matmul_wt
+    /// against lm_head_ and the logit scale. Returns [rows x vocab].
+    Matrix final_logits(const Matrix &x, std::size_t row0,
+                        std::size_t rows, const RunOptions &opts) const;
 
     ModelConfig cfg_;
     Matrix embedding_;      // [vocab x d]

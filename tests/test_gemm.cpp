@@ -43,21 +43,24 @@ TEST(Gemm, MatmulMatchesDoubleReference)
     EXPECT_LT(max_abs_diff(fast, ref), 1e-3);
 }
 
-TEST(Gemm, MatmulBitEqualsDotF32)
+/// Asserts every element of `mm(a, w, threads)` is bit-equal to
+/// dot_f32 over its row pair: token counts covering 4-row blocks and
+/// their tails, output counts covering every N % 4 residue, 16-wide
+/// blocks and the vocab-sized head, K below / at / above one 16-lane
+/// block, and serial and pooled execution.
+template <typename Matmul>
+void
+expect_matmul_bit_equals_dot_f32(Matmul mm, const std::string &what)
 {
-    // matmul_wt's register-blocked outputs keep dot_f32's lane order,
-    // so every element must be bit-equal to dot_f32 over its row pair:
-    // across token counts, every N % 4 residue (blocked outputs plus
-    // the per-output tail), K below / at / above one 16-lane block,
-    // and serial and pooled execution.
     std::uint64_t seed = 10;
-    for (const std::size_t rows : {1u, 16u, 17u}) {
-        for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u}) {
+    for (const std::size_t rows : {1u, 3u, 4u, 5u, 8u, 16u, 17u, 33u}) {
+        for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u,
+                                    15u, 16u, 17u, 31u, 33u, 256u}) {
             for (const std::size_t k : {1u, 15u, 16u, 17u, 130u, 384u}) {
                 const Matrix a = random_matrix(rows, k, ++seed);
                 const Matrix w = random_matrix(n, k, ++seed, 1.0, 0.05);
                 for (const std::size_t threads : {1u, 0u}) {
-                    const Matrix c = matmul_wt(a, w, threads);
+                    const Matrix c = mm(a, w, threads);
                     for (std::size_t t = 0; t < rows; ++t) {
                         for (std::size_t o = 0; o < n; ++o) {
                             const float ref = dot_f32(
@@ -65,7 +68,7 @@ TEST(Gemm, MatmulBitEqualsDotF32)
                             ASSERT_EQ(std::bit_cast<std::uint32_t>(
                                           c(t, o)),
                                       std::bit_cast<std::uint32_t>(ref))
-                                << "rows=" << rows << " n=" << n
+                                << what << " rows=" << rows << " n=" << n
                                 << " k=" << k << " threads=" << threads
                                 << " at (" << t << ", " << o << ")";
                         }
@@ -75,6 +78,44 @@ TEST(Gemm, MatmulBitEqualsDotF32)
         }
     }
 }
+
+TEST(Gemm, MatmulBitEqualsDotF32)
+{
+    // matmul_wt on the path this host picked.
+    expect_matmul_bit_equals_dot_f32(
+        [](const Matrix &a, const Matrix &w, std::size_t threads) {
+            return matmul_wt(a, w, threads);
+        },
+        "matmul_wt");
+}
+
+class GemmPathTest : public ::testing::TestWithParam<detail::GemmPath> {
+};
+
+TEST_P(GemmPathTest, MatmulBitEqualsDotF32)
+{
+    // Each path on its own, so a host that dispatches to the widest
+    // path still checks the narrower ones.
+    const detail::GemmPath path = GetParam();
+    if (!detail::gemm_path_supported(path)) {
+        GTEST_SKIP() << "this build or host cannot run the path";
+    }
+    expect_matmul_bit_equals_dot_f32(
+        [path](const Matrix &a, const Matrix &w, std::size_t threads) {
+            return detail::matmul_wt_on_path(path, a, w, threads);
+        },
+        "path " + std::to_string(static_cast<int>(path)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, GemmPathTest,
+    ::testing::Values(detail::GemmPath::kBaseline,
+                      detail::GemmPath::kAvx512),
+    [](const ::testing::TestParamInfo<detail::GemmPath> &info) {
+        return info.param == detail::GemmPath::kAvx512
+                   ? std::string("Avx512")
+                   : std::string("Baseline");
+    });
 
 TEST(Gemm, DotHandlesShortAndUnalignedLengths)
 {

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "llm/corpus.h"
@@ -109,15 +111,23 @@ TEST(Ops, AttentionViewMatchesCopiedHeads)
     // causal_attention_view over heads sliced in place from cached
     // rows must equal causal_attention_head over the copied heads, for
     // an FP32 cache (rows read in place) and a quantized one (rows
-    // unpacked), short and long prefixes, and queries that continue a
-    // cached prefix (q_offset > 0).
+    // unpacked), prefixes below / at / above the 16-key vector blocks,
+    // and two query layouts: a few queries that continue a cached
+    // prefix (q_offset > 0) and a full prefill (q_offset = 0), whose
+    // visible-key counts cross every block boundary.
     constexpr std::size_t kD = 128;
     constexpr std::size_t kHeads = 4;
     constexpr std::size_t kHd = kD / kHeads;
     constexpr std::size_t kQueries = 3;
+    // {kv_len, n_q}; query i sits at position kv_len - n_q + i.
+    std::vector<std::pair<std::size_t, std::size_t>> shapes;
+    for (const std::size_t kv_len : {1u, 15u, 16u, 17u, 33u, 64u, 128u}) {
+        shapes.emplace_back(kv_len, std::min(kQueries, kv_len));
+        shapes.emplace_back(kv_len, kv_len);
+    }
     SplitMix64 rng(17);
     for (const KvFormat &fmt : {KvFormat::fp32(), KvFormat::anda(7)}) {
-        for (const std::size_t kv_len : {1u, 17u, 64u, 128u}) {
+        for (const auto &[kv_len, n_q] : shapes) {
             KvCache cache(1, kD, 128, fmt);
             cache.reserve(kv_len);
             std::vector<float> row(kD);
@@ -131,7 +141,6 @@ TEST(Ops, AttentionViewMatchesCopiedHeads)
                 }
                 cache.store(KvRows::kV, 0, t, row);
             }
-            const std::size_t n_q = std::min(kQueries, kv_len);
             const std::size_t q_offset = kv_len - n_q;
             Matrix q(n_q, kD);
             for (float &v : q.flat()) {
@@ -183,8 +192,8 @@ TEST(Ops, AttentionViewMatchesCopiedHeads)
                                 ctx(i, h * kHd + c)),
                             std::bit_cast<std::uint32_t>(oh(i, c)))
                             << fmt.name() << " kv_len=" << kv_len
-                            << " head=" << h << " at (" << i << ", " << c
-                            << ")";
+                            << " n_q=" << n_q << " head=" << h
+                            << " at (" << i << ", " << c << ")";
                     }
                 }
             }
