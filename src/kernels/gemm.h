@@ -19,6 +19,26 @@
 /// coarser grain (e.g. across sequences) pass 1 so inner kernels do not
 /// oversubscribe — see src/common/parallel.h for the ownership
 /// convention.
+///
+/// Dispatch: matmul_wt runs on the widest path the host supports,
+/// probed once per process with __builtin_cpu_supports — AVX-512F
+/// (4 token rows x 4 outputs per block, lone rows 1 x 16, one zmm
+/// accumulator per output) or the 128-bit baseline (one row x 4
+/// outputs). No build flag or option selects it.
+///
+/// Bit identity: every matmul_wt element equals dot_f32 over its row
+/// pair on every path. Each output keeps dot_f32's 16 lane
+/// accumulators (lane l sums the rounded products a[i + l] * w[i + l]
+/// over i in order), reduces them lane 0..15 starting from 0.0f and
+/// then adds the serial tail. The AVX-512 path reduces 16 outputs side
+/// by side by transposing its accumulator block, which keeps that
+/// order.
+///
+/// Contraction: AVX-512F implies FMA, and a fused a * b + acc rounds
+/// once where dot_f32 rounds twice. The AVX-512 functions switch
+/// contraction off themselves (optimize("fp-contract=off") on GCC,
+/// `#pragma clang fp contract(off)` on Clang); CI fails if the gemm
+/// object contains any vfmadd/vfmsub/vfnmadd/vfnmsub instruction.
 
 #include <span>
 

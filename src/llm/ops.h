@@ -65,8 +65,12 @@ void causal_attention_head(const Matrix &q, const Matrix &k,
 /// projection block or of a cached K/V row, so no head is copied out.
 /// q and out hold one row per query, k and v one per key (kv_len =
 /// k.size()); query row i attends to keys [0, q_offset + i]. `scratch`
-/// is grown as needed and reused across calls. Bit-identical to
-/// causal_attention_head on the copied heads.
+/// is grown as needed and reused across calls; it also holds the
+/// head's K, transposed once per call in blocks of 16 keys, so scores
+/// are computed 16 keys per vector, each lane running the reference's
+/// own q[c] * k[j][c] chain in c order (keys past the last full block
+/// take the scalar loop). Bit-identical to causal_attention_head on
+/// the copied heads.
 void causal_attention_view(std::span<const float *const> q,
                            std::span<const float *const> k,
                            std::span<const float *const> v,
