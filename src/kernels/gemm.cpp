@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -163,47 +164,24 @@ load16(const float *p)
     return v;
 }
 
-/// One butterfly stage of a 16 x 16 transpose: swaps bit `B` of the
-/// register index with bit `B` of the lane index for the pair
-/// (x[i], x[i + B]).
-template <int B>
+/// One stage of a 16 x 16 in-register transpose: in each register
+/// pair (x[i], x[i + B]), lanes with bit B clear stay in x[i], lanes
+/// with it set stay in x[i + B], and the other halves swap. After the
+/// stages B = 1, 2, 4, 8, lane l of x[j] sits in lane j of x[l].
+template <std::size_t B, std::size_t... L>
 ANDA_AVX512_FN inline void
-transpose_stage(Vec16 x[16])
+transpose_stage(Vec16 x[16], std::index_sequence<L...> /*lanes*/)
 {
-    for (int i = 0; i < 16; ++i) {
+    for (std::size_t i = 0; i < 16; ++i) {
         if ((i & B) != 0) {
             continue;
         }
         const Vec16 lo = x[i];
         const Vec16 hi = x[i + B];
-        if constexpr (B == 1) {
-            x[i] = __builtin_shufflevector(lo, hi, 0, 16, 2, 18, 4, 20, 6,
-                                           22, 8, 24, 10, 26, 12, 28, 14,
-                                           30);
-            x[i + B] = __builtin_shufflevector(lo, hi, 1, 17, 3, 19, 5, 21,
-                                               7, 23, 9, 25, 11, 27, 13,
-                                               29, 15, 31);
-        } else if constexpr (B == 2) {
-            x[i] = __builtin_shufflevector(lo, hi, 0, 1, 16, 17, 4, 5, 20,
-                                           21, 8, 9, 24, 25, 12, 13, 28,
-                                           29);
-            x[i + B] = __builtin_shufflevector(lo, hi, 2, 3, 18, 19, 6, 7,
-                                               22, 23, 10, 11, 26, 27, 14,
-                                               15, 30, 31);
-        } else if constexpr (B == 4) {
-            x[i] = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 16, 17, 18,
-                                           19, 8, 9, 10, 11, 24, 25, 26,
-                                           27);
-            x[i + B] = __builtin_shufflevector(lo, hi, 4, 5, 6, 7, 20, 21,
-                                               22, 23, 12, 13, 14, 15, 28,
-                                               29, 30, 31);
-        } else {
-            x[i] = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7,
-                                           16, 17, 18, 19, 20, 21, 22, 23);
-            x[i + B] = __builtin_shufflevector(lo, hi, 8, 9, 10, 11, 12, 13,
-                                               14, 15, 24, 25, 26, 27, 28,
-                                               29, 30, 31);
-        }
+        x[i] = __builtin_shufflevector(
+            lo, hi, ((L & B) != 0 ? L + 16 - B : L)...);
+        x[i + B] = __builtin_shufflevector(
+            lo, hi, ((L & B) != 0 ? L + 16 : L + B)...);
     }
 }
 
@@ -238,10 +216,11 @@ dot_f32_block(const float *const a[R], const float *const w[C],
             }
         }
     }
-    transpose_stage<1>(acc);
-    transpose_stage<2>(acc);
-    transpose_stage<4>(acc);
-    transpose_stage<8>(acc);
+    constexpr auto lanes = std::make_index_sequence<16>{};
+    transpose_stage<1>(acc, lanes);
+    transpose_stage<2>(acc, lanes);
+    transpose_stage<4>(acc, lanes);
+    transpose_stage<8>(acc, lanes);
     Vec16 s = {};
     for (std::size_t l = 0; l < 16; ++l) {
         s += acc[l];
